@@ -265,9 +265,10 @@ func BenchmarkFarmRun(b *testing.B) {
 // BenchmarkSweep times the parallel grid engine on the
 // threshold × farm-size fixture grid at several worker counts. The
 // workers=1 sub-benchmark is the serial baseline; the perf trajectory
-// tracks the speedup of the pooled runs over it (the grid's points are
-// independent simulations, so 4 workers should cut wall-clock by well
-// over 2×).
+// tracks the speedup of the pooled runs over it (the grid's points
+// share one trace and one packing, since neither axis changes their
+// inputs, and run independent simulations, so 4 workers on 4 cores
+// should cut wall-clock by well over 2×).
 func BenchmarkSweep(b *testing.B) {
 	wl := workload.DefaultSynthetic(4, 0)
 	wl.NumFiles = 1500
@@ -290,11 +291,10 @@ func BenchmarkSweep(b *testing.B) {
 	// workers=1 leg — on a multi-core machine that number is the
 	// scaling check; on a single core it exposes the pool's overhead
 	// (slightly below 1.0) instead of pretending to measure scaling.
-	// The committed baselines were recorded on a single-core container
-	// (see EXPERIMENTS.md §Performance), which is why workers=4 is not
-	// faster there: 16 points × ~8 ms share one core, so the delta is
-	// pure pool overhead. The gate still catches regressions — each
-	// leg's ns/op is compared to its own history, never across legs.
+	// The committed baselines were recorded on a 2-vCPU VM (see the
+	// note in BENCH_main.json), where workers=4 reads about 1.6×. The
+	// gate still catches regressions — each leg's ns/op is compared to
+	// its own history, never across legs.
 	var refNs float64
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -971,7 +971,7 @@ func workSweep(url, name string, workers int, token, obsOut, metricsAddr string,
 		if err != nil {
 			return fmt.Errorf("-metrics-addr: %w", err)
 		}
-		srv := &http.Server{Handler: obs.NewServeMux(reg)}
+		srv := &http.Server{Handler: obs.NewServeMux(reg), ReadHeaderTimeout: metricsHeaderTimeout}
 		go srv.Serve(ln)
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "disksim: worker metrics on http://%s/metrics\n", ln.Addr())

@@ -26,6 +26,11 @@ import (
 	"diskpack/internal/obs"
 )
 
+// metricsHeaderTimeout bounds how long a -metrics-addr server waits for
+// a client's request headers, so a stalled scraper cannot pin a
+// connection.
+const metricsHeaderTimeout = 10 * time.Second
+
 // obsOutputs holds the live observability sinks of one CLI invocation:
 // the trace recorder and telemetry writer bound to their output files,
 // the metrics server, and the SIGINT plumbing that turns the first
@@ -83,7 +88,7 @@ func startObs(traceOut, telemetryOut, metricsAddr string) (ob *obsOutputs, err e
 		if err != nil {
 			return nil, fmt.Errorf("-metrics-addr: %w", err)
 		}
-		ob.srv = &http.Server{Handler: obs.NewServeMux(reg)}
+		ob.srv = &http.Server{Handler: obs.NewServeMux(reg), ReadHeaderTimeout: metricsHeaderTimeout}
 		go ob.srv.Serve(ln)
 		fmt.Fprintf(os.Stderr, "disksim: metrics on http://%s/metrics\n", ln.Addr())
 	}

@@ -593,8 +593,7 @@ func (co *Coordinator) batchLocked() int {
 
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding lease request: %v", err), http.StatusBadRequest)
+	if !decodeSmall(w, r, "lease request", &req) {
 		return
 	}
 	co.mu.Lock()
@@ -661,8 +660,7 @@ func (co *Coordinator) grantSpanLocked(i int, s *pointState, end time.Time, stat
 
 func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding heartbeat: %v", err), http.StatusBadRequest)
+	if !decodeSmall(w, r, "heartbeat", &req) {
 		return
 	}
 	co.mu.Lock()
@@ -687,6 +685,9 @@ func (co *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Submit bodies stay unbounded: a point's Metrics carries per-disk
+	// Utilization and Sim.PerDisk rows, so its size grows with the farm
+	// and no fixed cap fits every grid.
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("coord: decoding submission: %v", err), http.StatusBadRequest)
@@ -812,8 +813,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // pool.
 func (co *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req FailRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("coord: decoding fail report: %v", err), http.StatusBadRequest)
+	if !decodeSmall(w, r, "fail report", &req) {
 		return
 	}
 	if req.Index < 0 || req.Index >= co.comp.NumPoints() {
@@ -832,6 +832,32 @@ func (co *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		close(co.done)
 	}
 	writeJSON(w, struct{}{})
+}
+
+// readHeaderTimeout bounds how long Serve's HTTP server waits for a
+// client's request headers, so a stalled client cannot pin a
+// connection.
+const readHeaderTimeout = 10 * time.Second
+
+// maxSmallBody bounds lease, heartbeat and fail request bodies: each
+// carries a worker name and at most a worker's in-flight point
+// indexes, orders of magnitude below this.
+const maxSmallBody = 1 << 20
+
+// decodeSmall decodes a bounded protocol body into v, answering 413
+// when the body exceeds maxSmallBody and 400 when it does not parse.
+// It reports whether the handler should go on.
+func decodeSmall(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSmallBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, fmt.Sprintf("coord: decoding %s: %v", what, err), status)
+	return false
 }
 
 // writeJSON renders a protocol response.
@@ -861,7 +887,7 @@ func Serve(ctx context.Context, sweep farm.Sweep, seed int64, addr string, cfg C
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr())
 	}
-	srv := &http.Server{Handler: co.Handler()}
+	srv := &http.Server{Handler: co.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	// A server that dies mid-run must fail Serve, not hang it: with the
 	// accept loop gone no worker can submit, so Wait would block
 	// forever. The derived context turns a server error into a wake-up.

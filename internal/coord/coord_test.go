@@ -491,3 +491,32 @@ func TestPoisonPointFailsRun(t *testing.T) {
 		t.Errorf("poison error does not name the point and cause: %v", err)
 	}
 }
+
+// Lease, heartbeat and fail bodies are bounded: an oversized one is
+// refused with 413 before it reaches the queue, which stays exactly as
+// it was and still serves well-formed calls.
+func TestOversizedBodiesRejected(t *testing.T) {
+	co, err := New(fixtureSweep(), 9, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, co)
+	before, _ := json.Marshal(co.Status())
+	huge := strings.Repeat("x", maxSmallBody)
+	for path, body := range map[string]any{
+		"/v1/lease":     LeaseRequest{Worker: huge},
+		"/v1/heartbeat": HeartbeatRequest{Worker: huge, Indexes: []int{0}},
+		"/v1/fail":      FailRequest{Worker: "w", Index: 0, Error: huge},
+	} {
+		if resp := postJSON(t, srv.URL+path, body, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(huge), resp.StatusCode)
+		}
+	}
+	if after, _ := json.Marshal(co.Status()); !bytes.Equal(before, after) {
+		t.Errorf("oversized bodies changed the queue:\nbefore %.300s\nafter  %.300s", before, after)
+	}
+	var lease LeaseResponse
+	if resp := postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "w", Max: 1}, &lease); resp.StatusCode != http.StatusOK || len(lease.Points) != 1 {
+		t.Errorf("well-formed lease after the oversized ones: status %d, %d points", resp.StatusCode, len(lease.Points))
+	}
+}

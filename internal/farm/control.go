@@ -216,16 +216,9 @@ func RunStream(spec Spec, seed int64, epoch float64, sink StreamSink) (*Metrics,
 	if spec.Control != nil {
 		return nil, fmt.Errorf("farm %s: RunStream runs the telemetry seam only — strip Control (internal/control interprets it)", spec.Name)
 	}
-	if err := spec.Validate(); err != nil {
+	tr, alloc, err := prepare(spec, seed, pointStages{})
+	if err != nil {
 		return nil, err
-	}
-	tr, err := BuildTrace(spec.Workload, seed)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: workload: %w", spec.Name, err)
-	}
-	alloc, err := spec.allocate(tr, seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: allocation: %w", spec.Name, err)
 	}
 	farmSize, perDisk, err := resolveFarmSize(spec, alloc)
 	if err != nil {

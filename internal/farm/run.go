@@ -122,14 +122,17 @@ type Allocation struct {
 // specs before the real runs; like Run it is a pure function of
 // (spec, seed).
 func Plan(spec Spec, seed int64) (*Allocation, error) {
-	if err := spec.Validate(); err != nil {
+	return plan(spec, seed, pointStages{})
+}
+
+// plan is Plan, drawing the stage outputs from the given source.
+func plan(spec Spec, seed int64, from pointStages) (*Allocation, error) {
+	_, alloc, err := prepare(spec, seed, from)
+	if err != nil {
 		return nil, err
 	}
-	tr, err := BuildTrace(spec.Workload, seed)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: workload: %w", spec.Name, err)
-	}
-	return spec.allocate(tr, seed+1)
+	from.release()
+	return alloc, nil
 }
 
 // allocate runs the spec's allocation strategy over the trace's files.
@@ -323,24 +326,27 @@ func RegisterControlRunner(fn func(Spec, int64) (*Metrics, error)) { controlRunn
 // closed-loop executor internal/control registers; everything else
 // runs open-loop here.
 func Run(spec Spec, seed int64) (*Metrics, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+	return run(spec, seed, pointStages{})
+}
+
+// run is Run, drawing an open-loop spec's stage outputs from the given
+// source.
+func run(spec Spec, seed int64, from pointStages) (*Metrics, error) {
 	if spec.Control != nil {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
 		if controlRunner == nil {
 			return nil, fmt.Errorf("farm %s: spec asks for controller %q but no control runner is registered (import internal/control)",
 				spec.Name, spec.Control.Controller)
 		}
 		return controlRunner(spec, seed)
 	}
-	tr, err := BuildTrace(spec.Workload, seed)
+	tr, alloc, err := prepare(spec, seed, from)
 	if err != nil {
-		return nil, fmt.Errorf("farm %s: workload: %w", spec.Name, err)
+		return nil, err
 	}
-	alloc, err := spec.allocate(tr, seed+1)
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: allocation: %w", spec.Name, err)
-	}
+	defer from.release()
 	farmSize, perDisk, err := resolveFarmSize(spec, alloc)
 	if err != nil {
 		return nil, err

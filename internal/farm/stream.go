@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+
+	"diskpack/internal/trace"
 )
 
 // The streaming point-result seam under every sweep executor: Compile
@@ -20,22 +22,28 @@ import (
 
 // CompiledSweep is a sweep compiled against a seed: the grid's points,
 // executable one at a time. It is safe for concurrent use — RunPoint
-// does not mutate the compiled points.
+// does not mutate the compiled points. Points whose input stages match
+// share them: the first point to need a trace or an allocation builds
+// it and later points with the same stage key reuse it (see stage.go).
 type CompiledSweep struct {
 	decl   Sweep
 	seed   int64
 	points []Point
+	keys   []stageKeys // per point
+	traces stageMemo[*trace.Trace]
+	allocs stageMemo[*Allocation]
 }
 
 // Compile validates the sweep and expands its grid. The returned value
 // binds the sweep to the seed, so per-point seeds are fixed at compile
-// time exactly as RunSweep fixes them.
+// time exactly as RunSweep fixes them, and so are the stage keys that
+// decide which points share a trace or an allocation.
 func Compile(sweep Sweep, seed int64) (*CompiledSweep, error) {
 	points, err := sweep.Points()
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledSweep{decl: sweep, seed: seed, points: points}, nil
+	return &CompiledSweep{decl: sweep, seed: seed, points: points, keys: keyStages(points, seed)}, nil
 }
 
 // Sweep returns the compiled grid's declaration.
@@ -82,20 +90,26 @@ func (c *CompiledSweep) Descriptor(i int) ShardPoint {
 }
 
 // RunPoint executes one grid point — farm.Run, or farm.Plan for
-// plan-only sweeps — at seed + the point's SeedOffset, exactly as
-// RunSweep would have run it. Errors carry no grid context; callers
-// wrap them with their own (sweep, shard, worker) framing.
+// plan-only sweeps — at seed + the point's SeedOffset, with exactly the
+// result RunSweep would have produced. The point's trace and allocation
+// come from the compiled sweep's stage memo when an earlier point with
+// the same stage key left them there. Errors carry no grid context;
+// callers wrap them with their own (sweep, shard, worker) framing.
 func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 	if i < 0 || i >= len(c.points) {
 		return ShardPointResult{}, fmt.Errorf("farm: point %d outside the %d-point grid", i, len(c.points))
 	}
 	p := &c.points[i]
 	res := ShardPointResult{Index: i, Label: p.Label}
+	from := pointStages{traces: &c.traces, allocs: &c.allocs, keys: c.keys[i]}
 	var err error
 	if c.decl.PlanOnly {
-		res.Alloc, err = Plan(p.Spec, c.seed+p.SeedOffset)
+		// A plan-only point's result is its allocation: build it fresh so
+		// no two points' results alias, and share only the trace.
+		from.allocs = nil
+		res.Alloc, err = plan(p.Spec, c.seed+p.SeedOffset, from)
 	} else {
-		res.Metrics, err = Run(p.Spec, c.seed+p.SeedOffset)
+		res.Metrics, err = run(p.Spec, c.seed+p.SeedOffset, from)
 	}
 	if err != nil {
 		return ShardPointResult{}, err

@@ -627,16 +627,20 @@ func (r *SweepResult) At(coord ...int) *Point {
 
 // RunSweep compiles the sweep and fans its points across up to workers
 // goroutines (0 means GOMAXPROCS). Each point runs farm.Run (or
-// farm.Plan for plan-only sweeps) at seed + its SeedOffset; results are
-// stored by point index, so the output is byte-identical for any worker
-// count. The first point error aborts the sweep.
+// farm.Plan for plan-only sweeps) at seed + its SeedOffset. Points are
+// taken grouped by their trace and allocation stage keys, so points
+// that share input stages run back to back; results are stored by
+// point index, so the output is byte-identical for any worker count.
+// The first point error aborts the sweep.
 func RunSweep(sweep Sweep, seed int64, workers int) (*SweepResult, error) {
 	c, err := Compile(sweep, seed)
 	if err != nil {
 		return nil, err
 	}
+	order := runOrder(c.keys)
 	results := make([]ShardPointResult, c.NumPoints())
-	err = parallelFor(context.Background(), c.NumPoints(), poolSize(workers), func(i int) error {
+	err = parallelFor(context.Background(), c.NumPoints(), poolSize(workers), func(k int) error {
+		i := order[k]
 		pr, err := c.RunPoint(i)
 		if err != nil {
 			return fmt.Errorf("farm: sweep %s point %s: %w", sweep.Name, c.Label(i), err)

@@ -239,6 +239,11 @@ func (t *Trace) SortRequests() {
 
 const formatHeader = "diskpack-trace v1"
 
+// readPrealloc caps the capacity Read reserves from a header count: a
+// count is only a claim until its lines are read, so larger traces
+// grow as they arrive instead of allocating on the header's word.
+const readPrealloc = 1 << 16
+
 // Write serializes the trace in the package's plain-text format:
 //
 //	diskpack-trace v1
@@ -307,7 +312,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if _, err := fmt.Sscanf(fl, "files %d", &nFiles); err != nil {
 		return nil, fmt.Errorf("trace: line %d: %w", line, err)
 	}
-	t.Files = make([]FileInfo, nFiles)
+	if nFiles < 0 {
+		return nil, fmt.Errorf("trace: line %d: negative file count %d", line, nFiles)
+	}
+	t.Files = make([]FileInfo, 0, min(nFiles, readPrealloc))
 	for i := 0; i < nFiles; i++ {
 		s, err := next()
 		if err != nil {
@@ -325,7 +333,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		t.Files[i] = FileInfo{ID: i, Size: size, Rate: rate}
+		t.Files = append(t.Files, FileInfo{ID: i, Size: size, Rate: rate})
 	}
 	var nReq int
 	rl, err := next()
@@ -335,7 +343,10 @@ func Read(r io.Reader) (*Trace, error) {
 	if _, err := fmt.Sscanf(rl, "requests %d", &nReq); err != nil {
 		return nil, fmt.Errorf("trace: line %d: %w", line, err)
 	}
-	t.Requests = make([]Request, nReq)
+	if nReq < 0 {
+		return nil, fmt.Errorf("trace: line %d: negative request count %d", line, nReq)
+	}
+	t.Requests = make([]Request, 0, min(nReq, readPrealloc))
 	for i := 0; i < nReq; i++ {
 		s, err := next()
 		if err != nil {
@@ -353,7 +364,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
-		t.Requests[i] = Request{Time: tm, FileID: fid, Write: len(fields) == 3}
+		t.Requests = append(t.Requests, Request{Time: tm, FileID: fid, Write: len(fields) == 3})
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -253,4 +254,80 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Hostile header counts fail cleanly: negative counts are rejected and
+// a huge count reserves only a bounded prealloc before its lines
+// arrive.
+func TestReadRejectsHostileCounts(t *testing.T) {
+	cases := []string{
+		"diskpack-trace v1\nduration 5\nfiles -1\n",
+		"diskpack-trace v1\nduration 5\nfiles 1\n100 0.5\nrequests -5\n",
+		"diskpack-trace v1\nduration 5\nfiles 9223372036854775807\n100 0.5\n",
+		"diskpack-trace v1\nduration 5\nfiles 1\n100 0.5\nrequests 9223372036854775807\n1 0\n",
+	}
+	for i, c := range cases {
+		if _, err := Read(strings.NewReader(c)); err == nil {
+			t.Errorf("case %d: hostile count accepted", i)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	Read(strings.NewReader("diskpack-trace v1\nduration 5\nfiles 16777216\n"))
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("a truncated 16M-file header allocated %d bytes", got)
+	}
+}
+
+// FuzzTraceRead: every input yields a trace that validates or an
+// error, never a panic, and an accepted trace survives Write → Read
+// unchanged.
+func FuzzTraceRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("diskpack-trace v1\nduration 5\nfiles -1\n"))
+	f.Add([]byte("diskpack-trace v1\nduration 5\nfiles 1\n100 0.5\nrequests -5\n"))
+	f.Add([]byte("diskpack-trace v1\nduration 1e9\nfiles 1\n100 0.5\nrequests 1\n1 0 w\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Read returned a trace that fails validation: %v", err)
+		}
+		var out bytes.Buffer
+		if err := Write(&out, tr); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(&out)
+		if err != nil {
+			t.Fatalf("re-reading an accepted trace: %v", err)
+		}
+		if !sameTrace(tr, again) {
+			t.Fatalf("trace changed across Write → Read")
+		}
+	})
+}
+
+// sameTrace compares two traces field by field.
+func sameTrace(a, b *Trace) bool {
+	if a.Duration != b.Duration || len(a.Files) != len(b.Files) || len(a.Requests) != len(b.Requests) {
+		return false
+	}
+	for i := range a.Files {
+		if a.Files[i] != b.Files[i] {
+			return false
+		}
+	}
+	for i := range a.Requests {
+		if a.Requests[i] != b.Requests[i] {
+			return false
+		}
+	}
+	return true
 }
