@@ -3,29 +3,61 @@ package main
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The CI control-smoke contract: a controlled scenario run is
-// byte-identical across invocations and reports its windows.
+// A controlled run is byte-identical across invocations and reports
+// its windows, under either controller.
 func TestControlledRunDeterministicOutput(t *testing.T) {
-	args := []string{"-scenario", "controlled-bursty", "-control", "tail-budget", "-seed", "3"}
-	var a, b bytes.Buffer
-	if err := run(args, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(args, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("controlled runs differ between invocations")
-	}
-	out := a.String()
-	for _, want := range []string{"controller        tail-budget", "window", "threshold"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
+	for _, tc := range []struct {
+		args       []string
+		controller string
+	}{
+		{[]string{"-scenario", "controlled-bursty", "-control", "tail-budget", "-seed", "3"}, "tail-budget"},
+		{[]string{"-scenario", "controlled-bursty", "-control", "rate-respec", "-epoch", "500", "-seed", "7"}, "rate-respec"},
+	} {
+		var a, b bytes.Buffer
+		if err := run(tc.args, &a); err != nil {
+			t.Fatal(err)
 		}
+		if err := run(tc.args, &b); err != nil {
+			t.Fatal(err)
+		}
+		if a.String() != b.String() {
+			t.Errorf("%v: controlled runs differ between invocations", tc.args)
+		}
+		out := a.String()
+		for _, want := range []string{"controller        " + tc.controller, "window", "threshold"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v: output lacks %q:\n%s", tc.args, want, out)
+			}
+		}
+	}
+}
+
+// A controlled scenario and the spec file it writes are one document:
+// run either way, the report is the same apart from the scenario
+// header.
+func TestControlledSpecFileMatchesScenario(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "controlled.json")
+	if err := run([]string{"-scenario", "controlled-bursty", "-spec-out", path}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var scenario, file bytes.Buffer
+	if err := run([]string{"-scenario", "controlled-bursty", "-seed", "3"}, &scenario); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-spec", path, "-seed", "3"}, &file); err != nil {
+		t.Fatal(err)
+	}
+	header, report, _ := strings.Cut(scenario.String(), "\n\n")
+	if !strings.HasPrefix(header, "scenario controlled-bursty — ") {
+		t.Errorf("scenario run lacks its header: %q", header)
+	}
+	if report != file.String() {
+		t.Errorf("-spec report differs from the scenario run:\n--- scenario\n%s--- spec\n%s", report, file.String())
 	}
 }
 

@@ -72,6 +72,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -117,58 +118,242 @@ func main() {
 	}
 }
 
+// cli is one invocation: its flag values, the flags given explicitly,
+// and what resolve made of them.
+type cli struct {
+	out   io.Writer
+	given []string // explicitly set flags, in lexicographical order
+
+	// Flag values, grouped by the rows of the mode table that take them.
+	scenario, specIn, tracePath               string // inputs
+	assignIn, algo, threshold                 string // the spec around a -trace
+	capL, cacheB                              float64
+	farmN                                     int
+	controlName, selectS                      string // overrides
+	epochF, budgetF, afrBudget, cycleCap      float64
+	sweeps                                    axisFlags
+	seed                                      int64 // actions
+	verbose                                   bool
+	workers, shards, batchN                   int
+	specOut, shardOut, serveAddr, journalPath string
+	leaseD                                    time.Duration
+	token, obsOut, traceOut, telemOut         string
+	mergeTrace, workURL, workerName           string // standalone modes
+	runShard, shardResult, mergeDir           string
+	cpuProfile, memProfile, metricsAddr       string // every mode
+	simWorkers                                int
+
+	// Resolved from the flags.
+	axes     []farm.Axis
+	selector farm.Selector
+	sc       *farm.Scenario // the -scenario input, named by the report header
+	thr      string         // the -trace input's -threshold, echoed by the report
+	doc      farm.File      // the document an action works on
+	ob       *obsOutputs
+}
+
+// flagSet binds every flag to its field of c.
+func (c *cli) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("disksim", flag.ContinueOnError)
+	fs.StringVar(&c.scenario, "scenario", "", "run a registered scenario by name (see -scenarios)")
+	fs.Bool("scenarios", false, "list registered scenarios and exit") // selects its mode; the value is never read
+	fs.StringVar(&c.tracePath, "trace", "", "input trace file (ad-hoc mode)")
+	fs.StringVar(&c.assignIn, "assign", "", "file→disk map (one disk per line); overrides -algo")
+	fs.StringVar(&c.algo, "algo", "pack", "allocator when -assign is absent: pack, pack4, random, ffd, firstfit, bestfit, chp")
+	fs.Float64Var(&c.capL, "L", 0.7, "load constraint for packing")
+	fs.IntVar(&c.farmN, "disks", 0, "farm size (0 = as many as the allocation uses)")
+	fs.StringVar(&c.threshold, "threshold", "breakeven", "idleness threshold in seconds, 'breakeven', 'never', 'immediate', 'adaptive', or 'randomized'")
+	fs.Float64Var(&c.cacheB, "cache", 0, "LRU cache bytes (0 = none; paper uses 16e9)")
+	fs.Int64Var(&c.seed, "seed", 1, "seed for random placement and randomized policies")
+	fs.IntVar(&c.workers, "workers", 0, "parallel sweep simulations (0 = GOMAXPROCS)")
+	fs.IntVar(&c.simWorkers, "sim-workers", 1, "shard each simulation across N worker goroutines (0 = GOMAXPROCS); results are identical at any value")
+	fs.StringVar(&c.selectS, "select", "", "sweep operating-point rule: slo=SECONDS, knee, pareto (default none)")
+	fs.StringVar(&c.specIn, "spec", "", "run a JSON scenario file (a Spec or a Sweep; see -spec-out)")
+	fs.StringVar(&c.specOut, "spec-out", "", "write the assembled spec/sweep as JSON and exit")
+	fs.IntVar(&c.shards, "shards", 0, "split the grid into N shard manifests under -shard-out instead of running it")
+	fs.StringVar(&c.shardOut, "shard-out", "", "directory for -shards manifests (created if missing)")
+	fs.StringVar(&c.runShard, "run-shard", "", "execute one shard manifest file and write its result file")
+	fs.StringVar(&c.shardResult, "shard-result", "", "result file for -run-shard (default: manifest path with .result.json)")
+	fs.StringVar(&c.mergeDir, "merge", "", "merge shard result files (*.result.json) from a directory and report the sweep")
+	fs.StringVar(&c.serveAddr, "serve", "", "serve the grid as a work-stealing coordinator on ADDR (e.g. :9931) and report when it drains")
+	fs.StringVar(&c.workURL, "work", "", "join a coordinator as a pull-based worker (URL, e.g. http://host:9931)")
+	fs.StringVar(&c.workerName, "name", "", "worker name for -work (default <hostname>-<pid>)")
+	fs.StringVar(&c.journalPath, "journal", "", "coordinator crash journal for -serve: completed points append here; restart with the same flags to resume")
+	fs.DurationVar(&c.leaseD, "lease", time.Minute, "coordinator lease: how long a worker may hold a point without a heartbeat before it re-queues")
+	fs.IntVar(&c.batchN, "batch", 4, "coordinator batch: max points handed out per lease request (adaptively shrunk by observed point cost)")
+	fs.StringVar(&c.token, "token", "", "shared secret for -serve/-work: workers must present it, mismatches get 401")
+	fs.StringVar(&c.obsOut, "obs-out", "", "write this process's span log (JSONL) to FILE; for -serve, -work, and -run-shard (name them *.spans.jsonl and fold with -merge-trace)")
+	fs.StringVar(&c.mergeTrace, "merge-trace", "", "fold the *.spans.jsonl span logs under DIR into one Chrome-trace JSON (to -trace-out FILE, default stdout; load in Perfetto)")
+	fs.StringVar(&c.controlName, "control", "", "run closed-loop under an online controller: tail-budget, rate-respec, or static to strip a scenario's controller")
+	fs.Float64Var(&c.epochF, "epoch", 0, "telemetry window length in seconds for -control (default: the scenario's, or 1800)")
+	fs.Float64Var(&c.budgetF, "budget", 0, "p95 response-time budget in seconds for -control tail-budget (default: the scenario's, or 20)")
+	fs.Float64Var(&c.afrBudget, "afr-budget", 0, "annual-failure-rate budget in (0,1): upgrades an slo= selector to min-energy-under-SLO-and-AFR")
+	fs.Float64Var(&c.cycleCap, "cycle-cap", 0, "spin-down cycles per disk-day: caps the base spin policy (with -control tail-budget, the controller's cycle budget)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to FILE (go tool pprof)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to FILE at exit (go tool pprof)")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a single run's state timeline as Chrome-trace JSON to FILE (load in Perfetto)")
+	fs.StringVar(&c.telemOut, "telemetry-out", "", "write a single run's per-window telemetry as JSONL to FILE")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live Prometheus /metrics and /debug/pprof on ADDR (e.g. :9100) for the life of the run")
+	fs.BoolVar(&c.verbose, "v", false, "per-disk breakdown")
+	fs.Var(&c.sweeps, "sweep", "sweep axis dim=v1,v2,... (repeatable; dims: threshold, farm, cache, L, v, rate, alloc, seed, control)")
+	return fs
+}
+
+// role says how a row of the mode table takes part in an invocation.
+type role int
+
+const (
+	standalone role = iota // a mode that needs no document
+	input                  // resolves to the document
+	onAny                  // an action on either kind of document
+	onSpec                 // an action on a single Spec
+	onGrid                 // an action on a Sweep
+)
+
+// mode is one row of the dispatch table: the flag that selects it, the
+// flags it takes besides that one, and its handler. The table is the
+// only place a flag is refused because of another: a flag set outside
+// the chosen rows fails with that row's reason, so a flag a mode would
+// silently ignore fails loudly by construction.
+type mode struct {
+	flag    string // selecting flag; "" for the default runs
+	arg     string // the flag's argument as errors name it; for a default run, what it is
+	role    role
+	accepts string                        // the other flags it takes, space-separated
+	why     string                        // why it refuses the rest
+	load    func(*cli) (farm.File, error) // an input's resolver
+	run     func(*cli) error              // a mode's or an action's handler
+}
+
+// Flag groups several rows take.
+const (
+	// overrides reshape the document a scenario or a trace resolves to.
+	overrides = "control epoch budget cycle-cap afr-budget sweep select"
+	// adhoc assemble the spec around a trace.
+	adhoc = "assign algo L disks threshold cache"
+)
+
+// everyMode composes with every mode: profiling (a worker or a merge is
+// as legitimate a profile target as a plain run), -sim-workers (it only
+// shards the simulations the mode runs, never what they compute), and
+// -metrics-addr (live metrics observe whatever the mode executes).
+var everyMode = []string{"cpuprofile", "memprofile", "sim-workers", "metrics-addr"}
+
+// modes is the dispatch table. An invocation is one standalone mode, or
+// one input plus one action on the document it resolves to: the first
+// action whose flag is set, else the default run for the document's
+// kind. Rows are listed in that precedence, document rows first.
+var modes = []mode{
+	{flag: "scenario", arg: "NAME", role: input, accepts: overrides, load: (*cli).loadScenario,
+		why: "a registered scenario is the whole document; it takes only -control, -epoch, -budget, -cycle-cap, -afr-budget, -sweep, and -select"},
+	{flag: "spec", arg: "FILE", role: input, load: (*cli).loadSpec,
+		why: "the file is the whole document (edit the file instead)"},
+	{flag: "trace", arg: "FILE", role: input, accepts: adhoc + " " + overrides, load: (*cli).loadTrace,
+		why: "it takes the allocation, spin-down, cache, and override flags"},
+
+	{flag: "spec-out", arg: "FILE", role: onAny, run: (*cli).writeSpec,
+		why: "it writes the document and exits (the run flags go to the run that reads the file)"},
+	{flag: "shards", arg: "N", role: onGrid, accepts: "shard-out seed",
+		why: "it writes one manifest per shard and exits (-run-shard and -merge take the run flags)",
+		run: func(c *cli) error { return writeShards(*c.doc.Sweep, c.seed, c.shards, c.shardOut, c.out) }},
+	{flag: "serve", arg: "ADDR", role: onGrid, accepts: "seed v journal lease batch token obs-out",
+		why: "the -work machines run the points (size the pool there) and the coordinator prints the drained report",
+		run: func(c *cli) error {
+			return serveSweep(c.out, *c.doc.Sweep, c.seed, c.serveAddr, c.journalPath, c.leaseD, c.batchN, c.token, c.obsOut, c.verbose)
+		}},
+	{arg: "a single-Spec run", role: onSpec, accepts: "seed v trace-out telemetry-out", run: (*cli).runSpec},
+	{arg: "a grid run", role: onGrid, accepts: "seed v workers",
+		run: func(c *cli) error { return runSweep(c.out, *c.doc.Sweep, c.seed, c.workers, c.verbose) }},
+
+	{flag: "scenarios", why: "it only lists the catalogue",
+		run: func(c *cli) error { listScenarios(c.out); return nil }},
+	{flag: "merge-trace", arg: "DIR", accepts: "trace-out",
+		why: "it only folds span logs into a trace file; it takes -trace-out",
+		run: func(c *cli) error { return mergeTraceDir(c.mergeTrace, c.traceOut, c.out) }},
+	{flag: "work", arg: "URL", accepts: "workers name token obs-out",
+		why: "a worker pulls everything from the coordinator; it takes only -workers, -name, -token, and -obs-out",
+		run: func(c *cli) error {
+			return workSweep(c.workURL, c.workerName, c.workers, c.token, c.obsOut, c.metricsAddr, c.out)
+		}},
+	{flag: "run-shard", arg: "FILE", accepts: "shard-result workers obs-out",
+		why: "it takes only -shard-result, -workers, and -obs-out (the manifest carries the sweep and its seed)",
+		run: func(c *cli) error { return runShardFile(c.runShard, c.shardResult, c.workers, c.obsOut, c.out) }},
+	{flag: "merge", arg: "DIR", accepts: "select v",
+		why: "it takes only -select and -v (the result files carry the sweep and its seed)",
+		run: func(c *cli) error { return mergeShards(c.mergeDir, c.selector, c.selectS != "", c.verbose, c.out) }},
+}
+
+// takes reports whether the row takes flag f besides its own.
+func (m *mode) takes(f string) bool { return slices.Contains(strings.Fields(m.accepts), f) }
+
+// String names the row as errors do.
+func (m *mode) String() string {
+	if m.flag == "" {
+		return m.arg
+	}
+	return "-" + m.flag + " " + m.arg
+}
+
+// first returns the first row of the table that ok accepts, or nil.
+func first(ok func(*mode) bool) *mode {
+	for i := range modes {
+		if ok(&modes[i]) {
+			return &modes[i]
+		}
+	}
+	return nil
+}
+
+// shapesDoc reports whether flag f shapes the document: an input, or a
+// flag an input takes. The chosen input vets these, the action the rest.
+func shapesDoc(f string) bool {
+	return first(func(m *mode) bool { return m.role == input && (m.flag == f || m.takes(f)) }) != nil
+}
+
+// takers lists the rows that take flag f: "-serve ADDR or -work URL".
+func takers(f string) string {
+	var names []string
+	for i := range modes {
+		if modes[i].takes(f) {
+			names = append(names, modes[i].String())
+		}
+	}
+	if len(names) <= 2 {
+		return strings.Join(names, " or ")
+	}
+	return strings.Join(names[:len(names)-1], ", ") + ", or " + names[len(names)-1]
+}
+
+// isSet reports whether flag name was given explicitly.
+func (c *cli) isSet(name string) bool { return slices.Contains(c.given, name) }
+
+// refuse fails on the first explicitly set flag that row m vets (owns
+// reports which) and does not take. A row with a selecting flag names
+// itself and its reason; a default run names the rows that take it.
+func (c *cli) refuse(m *mode, owns func(string) bool) error {
+	for _, f := range c.given {
+		if !owns(f) || f == m.flag || m.takes(f) || slices.Contains(everyMode, f) {
+			continue
+		}
+		if m.flag != "" {
+			return fmt.Errorf("-%s ignores -%s: %s", m.flag, f, m.why)
+		}
+		return fmt.Errorf("-%s needs %s", f, takers(f))
+	}
+	return nil
+}
+
 // run is the whole CLI behind a testable seam: it parses args, writes
 // human output to out, and returns an error instead of exiting — every
 // failure path, flag parsing included, becomes a non-zero exit in main.
-// The return is named so the deferred observability stop — which
-// renders the trace file and flushes the telemetry log — can fail the
-// run when a sink write fails.
+// It works in two steps: resolve picks the rows of the mode table (and
+// turns a document action's input into one document), then the chosen
+// mode acts. The return is named so the deferred observability stop —
+// which renders the trace file and flushes the telemetry log — can fail
+// the run when a sink write fails.
 func run(args []string, out io.Writer) (retErr error) {
-	fs := flag.NewFlagSet("disksim", flag.ContinueOnError)
-	var sweeps axisFlags
-	var (
-		scenario    = fs.String("scenario", "", "run a registered scenario by name (see -scenarios)")
-		list        = fs.Bool("scenarios", false, "list registered scenarios and exit")
-		tracePath   = fs.String("trace", "", "input trace file (ad-hoc mode)")
-		assignIn    = fs.String("assign", "", "file→disk map (one disk per line); overrides -algo")
-		algo        = fs.String("algo", "pack", "allocator when -assign is absent: pack, pack4, random, ffd, firstfit, bestfit, chp")
-		capL        = fs.Float64("L", 0.7, "load constraint for packing")
-		farmN       = fs.Int("disks", 0, "farm size (0 = as many as the allocation uses)")
-		threshold   = fs.String("threshold", "breakeven", "idleness threshold in seconds, 'breakeven', 'never', 'immediate', 'adaptive', or 'randomized'")
-		cacheB      = fs.Float64("cache", 0, "LRU cache bytes (0 = none; paper uses 16e9)")
-		seed        = fs.Int64("seed", 1, "seed for random placement and randomized policies")
-		workers     = fs.Int("workers", 0, "parallel sweep simulations (0 = GOMAXPROCS)")
-		simWorkers  = fs.Int("sim-workers", 1, "shard each simulation across N worker goroutines (0 = GOMAXPROCS); results are identical at any value")
-		selectS     = fs.String("select", "", "sweep operating-point rule: slo=SECONDS, knee, pareto (default none)")
-		specIn      = fs.String("spec", "", "run a JSON scenario file (a Spec or a Sweep; see -spec-out)")
-		specOut     = fs.String("spec-out", "", "write the assembled spec/sweep as JSON and exit")
-		shards      = fs.Int("shards", 0, "split the grid into N shard manifests under -shard-out instead of running it")
-		shardOut    = fs.String("shard-out", "", "directory for -shards manifests (created if missing)")
-		runShard    = fs.String("run-shard", "", "execute one shard manifest file and write its result file")
-		shardResult = fs.String("shard-result", "", "result file for -run-shard (default: manifest path with .result.json)")
-		mergeDir    = fs.String("merge", "", "merge shard result files (*.result.json) from a directory and report the sweep")
-		serveAddr   = fs.String("serve", "", "serve the grid as a work-stealing coordinator on ADDR (e.g. :9931) and report when it drains")
-		workURL     = fs.String("work", "", "join a coordinator as a pull-based worker (URL, e.g. http://host:9931)")
-		workerName  = fs.String("name", "", "worker name for -work (default <hostname>-<pid>)")
-		journalPath = fs.String("journal", "", "coordinator crash journal for -serve: completed points append here; restart with the same flags to resume")
-		leaseD      = fs.Duration("lease", time.Minute, "coordinator lease: how long a worker may hold a point without a heartbeat before it re-queues")
-		batchN      = fs.Int("batch", 4, "coordinator batch: max points handed out per lease request (adaptively shrunk by observed point cost)")
-		token       = fs.String("token", "", "shared secret for -serve/-work: workers must present it, mismatches get 401")
-		obsOut      = fs.String("obs-out", "", "write this process's span log (JSONL) to FILE; for -serve, -work, and -run-shard (name them *.spans.jsonl and fold with -merge-trace)")
-		mergeTrace  = fs.String("merge-trace", "", "fold the *.spans.jsonl span logs under DIR into one Chrome-trace JSON (to -trace-out FILE, default stdout; load in Perfetto)")
-		controlName = fs.String("control", "", "run closed-loop under an online controller: tail-budget, rate-respec, or static to strip a scenario's controller")
-		epochF      = fs.Float64("epoch", 0, "telemetry window length in seconds for -control (default: the scenario's, or 1800)")
-		budgetF     = fs.Float64("budget", 0, "p95 response-time budget in seconds for -control tail-budget (default: the scenario's, or 20)")
-		afrBudget   = fs.Float64("afr-budget", 0, "annual-failure-rate budget in (0,1): upgrades an slo= selector to min-energy-under-SLO-and-AFR")
-		cycleCap    = fs.Float64("cycle-cap", 0, "spin-down cycles per disk-day: caps the base spin policy (with -control tail-budget, the controller's cycle budget)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to FILE (go tool pprof)")
-		memProfile  = fs.String("memprofile", "", "write a heap profile to FILE at exit (go tool pprof)")
-		traceOut    = fs.String("trace-out", "", "write a single run's state timeline as Chrome-trace JSON to FILE (load in Perfetto)")
-		telemOut    = fs.String("telemetry-out", "", "write a single run's per-window telemetry as JSONL to FILE")
-		metricsAddr = fs.String("metrics-addr", "", "serve live Prometheus /metrics and /debug/pprof on ADDR (e.g. :9100) for the life of the run")
-		verbose     = fs.Bool("v", false, "per-disk breakdown")
-	)
-	fs.Var(&sweeps, "sweep", "sweep axis dim=v1,v2,... (repeatable; dims: threshold, farm, cache, L, v, rate, alloc, seed, control)")
+	c := &cli{out: out}
+	fs := c.flagSet()
 	// The FlagSet would print every parse error itself and main would
 	// print it again; silence the FlagSet and report once (restoring
 	// output for an explicit -h).
@@ -181,537 +366,363 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) { c.given = append(c.given, f.Name) })
 
-	var visited []string
-	fs.Visit(func(f *flag.Flag) { visited = append(visited, f.Name) })
-	sort.Strings(visited)
-	wasSet := func(name string) bool {
-		for _, v := range visited {
-			if v == name {
-				return true
-			}
-		}
-		return false
-	}
-	// onlyFlags rejects any explicitly-set flag outside the mode's
-	// allowlist: a flag the mode would silently ignore must fail loudly
-	// instead.
-	onlyFlags := func(mode, reason string, allowed ...string) error {
-		// Profiling composes with every mode — a worker or a merge is
-		// as legitimate a profile target as a plain run. So do
-		// -sim-workers (it only shards the simulations the mode runs,
-		// never what they compute) and -metrics-addr (live metrics
-		// observe whatever the mode executes).
-		ok := map[string]bool{mode: true, "cpuprofile": true, "memprofile": true, "sim-workers": true, "metrics-addr": true}
-		for _, a := range allowed {
-			ok[a] = true
-		}
-		for _, name := range visited {
-			if !ok[name] {
-				return fmt.Errorf("-%s ignores -%s: %s", mode, name, reason)
-			}
-		}
-		return nil
-	}
-
-	// Start profiling before mode dispatch so every mode is coverable;
+	// Start profiling before anything else so every mode is coverable;
 	// the deferred stop flushes on every return path out of run(),
 	// which includes the graceful-SIGINT returns of -serve/-work/
 	// -run-shard (interruptContext turns the signal into a normal
 	// return) and of obs-file runs (startObs turns the signal into a
 	// window-boundary abort). Modes without that machinery get a
 	// flush-and-exit handler from startProfiles itself.
-	obsFiles := *traceOut != "" || *telemOut != ""
-	gracefulMode := *serveAddr != "" || *workURL != "" || *runShard != "" || obsFiles
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, gracefulMode)
+	graceful := c.serveAddr != "" || c.workURL != "" || c.runShard != "" || c.traceOut != "" || c.telemOut != ""
+	stopProfiles, err := startProfiles(c.cpuProfile, c.memProfile, graceful)
 	if err != nil {
 		return err
 	}
 	defer stopProfiles()
 
-	// Parse the grid flags before any early return: a bad -sweep or
-	// -select must fail the run even alongside -scenarios, not be
-	// silently swallowed by an earlier exit path.
-	axes := make([]farm.Axis, 0, len(sweeps))
-	for _, s := range sweeps {
-		ax, err := farm.ParseAxis(s)
-		if err != nil {
-			return fmt.Errorf("%w\n%s", err, gridUsage)
-		}
-		axes = append(axes, ax)
-	}
-	selector := farm.Selector{}
-	if *selectS != "" {
-		var err error
-		if selector, err = farm.ParseSelector(*selectS); err != nil {
-			return fmt.Errorf("%w\n%s", err, gridUsage)
-		}
-	}
-
-	// Pool-size and coordinator knobs fail loudly on nonsense instead of
-	// clamping or spinning: a negative pool would silently serialize, a
-	// zero batch would make every lease empty.
-	if *workers < 0 {
-		return fmt.Errorf("-workers %d: valid values are >= 1 (or 0 for one worker per core)", *workers)
-	}
-	if *simWorkers < 0 {
-		return fmt.Errorf("-sim-workers %d: valid values are >= 1 (or 0 for one worker per core)", *simWorkers)
+	if err := c.parseValues(); err != nil {
+		return err
 	}
 	// Effective for every simulation any mode runs from here on; the
 	// kernel routes non-shardable runs (cache-fronted, unplaced writes)
 	// to its sequential path on its own.
-	farm.SetSimWorkers(*simWorkers)
+	farm.SetSimWorkers(c.simWorkers)
 
-	if *list {
-		if err := onlyFlags("scenarios", "it only lists the catalogue"); err != nil {
-			return err
-		}
-		listScenarios(out)
-		return nil
-	}
-
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d must be >= 1", *shards)
-	}
-	if *mergeTrace != "" {
-		if err := onlyFlags("merge-trace",
-			"it only folds span logs into a trace file; it takes -trace-out",
-			"trace-out"); err != nil {
-			return err
-		}
-		return mergeTraceDir(*mergeTrace, *traceOut, out)
-	}
-	if *workURL != "" {
-		if err := onlyFlags("work",
-			"a worker pulls everything from the coordinator; it takes only -workers, -name, -token, and -obs-out",
-			"workers", "name", "token", "obs-out"); err != nil {
-			return err
-		}
-		return workSweep(*workURL, *workerName, *workers, *token, *obsOut, *metricsAddr, out)
-	}
-	// Like the coordinator knobs below, the worker's name must not
-	// outlive its mode: silently ignored flags would look like they
-	// took effect.
-	if wasSet("name") {
-		return fmt.Errorf("-name needs -work URL")
-	}
-	if wasSet("token") && *serveAddr == "" {
-		return fmt.Errorf("-token needs -serve ADDR or -work URL")
-	}
-	if *obsOut != "" && *serveAddr == "" && *runShard == "" {
-		return fmt.Errorf("-obs-out needs -serve ADDR, -work URL, or -run-shard FILE (single runs use -trace-out/-telemetry-out)")
-	}
-	if *serveAddr != "" {
-		if *leaseD < time.Second {
-			return fmt.Errorf("-lease %v: valid values are >= 1s (workers heartbeat at a third of the lease)", *leaseD)
-		}
-		if *batchN < 1 {
-			return fmt.Errorf("-batch %d: valid values are >= 1", *batchN)
-		}
-		for _, conflict := range []struct {
-			set  bool
-			name string
-			why  string
-		}{
-			{*shards > 0, "shards", "static manifests and a work-stealing pool are different distribution modes: pick one"},
-			{*specOut != "", "spec-out", "-spec-out writes files and exits; -serve runs the grid"},
-			{wasSet("workers"), "workers", "the -work machines run the points; size the pool there"},
-		} {
-			if conflict.set {
-				return fmt.Errorf("-serve cannot be combined with -%s: %s", conflict.name, conflict.why)
-			}
-		}
-	} else {
-		// The coordinator knobs must not outlive their mode: silently
-		// ignored flags would look like they took effect.
-		for _, name := range []string{"journal", "lease", "batch"} {
-			if wasSet(name) {
-				return fmt.Errorf("-%s needs -serve ADDR", name)
-			}
-		}
-	}
-	if *runShard != "" {
-		if err := onlyFlags("run-shard",
-			"it takes only -shard-result, -workers, and -obs-out (the manifest carries the sweep and its seed)",
-			"shard-result", "workers", "obs-out"); err != nil {
-			return err
-		}
-		return runShardFile(*runShard, *shardResult, *workers, *obsOut, out)
-	}
-	if *mergeDir != "" {
-		if err := onlyFlags("merge",
-			"it takes only -select and -v (the result files carry the sweep and its seed)",
-			"select", "v"); err != nil {
-			return err
-		}
-		return mergeShards(*mergeDir, selector, *selectS != "", *verbose, out)
-	}
-	// The shard companion flags must not outlive their mode: without it
-	// they would be silently ignored and the grid would run locally.
-	if *shardOut != "" && *shards == 0 {
-		return fmt.Errorf("-shard-out needs -shards N")
-	}
-	if *shardResult != "" {
-		return fmt.Errorf("-shard-result needs -run-shard FILE")
-	}
-	if *shards > 0 && *specOut != "" {
-		return fmt.Errorf("-shards and -spec-out both write files and exit: pick one")
-	}
-
-	// The trace and telemetry sinks record exactly one run; the
-	// multi-run and write-and-exit modes must reject them loudly (the
-	// onlyFlags modes — -work, -run-shard, -merge, -scenarios —
-	// already did above; grids are rejected at hasGrid below).
-	if obsFiles {
-		for _, conflict := range []struct {
-			set  bool
-			name string
-		}{
-			{*serveAddr != "", "serve"},
-			{*specOut != "", "spec-out"},
-			{*shards > 0, "shards"},
-		} {
-			if conflict.set {
-				return fmt.Errorf("-trace-out/-telemetry-out record a single run: they cannot be combined with -%s", conflict.name)
-			}
-		}
-	}
-	// Observability starts before mode dispatch — like profiling — so
-	// -metrics-addr serves whatever the mode runs; the deferred stop
-	// renders the trace file and flushes the telemetry log on every
-	// return path, the SIGINT abort included.
-	ob, err := startObs(*traceOut, *telemOut, *metricsAddr)
+	m, err := c.resolve()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if serr := ob.stop(); serr != nil && retErr == nil {
-			retErr = serr
-		}
-	}()
-
-	controlFlags := *controlName != "" || wasSet("epoch") || wasSet("budget")
-	relFlags := wasSet("afr-budget") || wasSet("cycle-cap")
-	if wasSet("afr-budget") && !(*afrBudget > 0 && *afrBudget < 1) {
-		return fmt.Errorf("-afr-budget %v: the annual failure rate budget must be in (0,1)", *afrBudget)
-	}
-	if wasSet("cycle-cap") && !(*cycleCap > 0 && !math.IsInf(*cycleCap, 0)) {
-		return fmt.Errorf("-cycle-cap %v: the cycle budget must be a positive number of cycles per disk-day", *cycleCap)
-	}
-
-	if *specIn != "" {
-		if len(axes) > 0 || *selectS != "" || *specOut != "" || controlFlags || relFlags {
-			return fmt.Errorf("-sweep/-select/-spec-out/-control/-afr-budget/-cycle-cap cannot be combined with -spec (edit the file instead)")
-		}
-		f, err := os.Open(*specIn)
-		if err != nil {
+	if m.role != standalone {
+		// Observability wraps the document actions — as profiling wraps
+		// every mode — so -metrics-addr serves whatever they run; the
+		// deferred stop renders the trace file and flushes the telemetry
+		// log on every return path, the SIGINT abort included.
+		if c.ob, err = startObs(c.traceOut, c.telemOut, c.metricsAddr); err != nil {
 			return err
 		}
-		doc, err := farm.DecodeFile(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if *shards > 0 {
-			if doc.Sweep == nil {
-				return fmt.Errorf("-shards needs a grid: %s holds a single Spec, not a Sweep", *specIn)
+		defer func() {
+			if serr := c.ob.stop(); serr != nil && retErr == nil {
+				retErr = serr
 			}
-			return writeShards(*doc.Sweep, *seed, *shards, *shardOut, out)
-		}
-		if *serveAddr != "" {
-			if doc.Sweep == nil {
-				return fmt.Errorf("-serve needs a grid: %s holds a single Spec, not a Sweep", *specIn)
-			}
-			return serveSweep(out, *doc.Sweep, *seed, *serveAddr, *journalPath, *leaseD, *batchN, *token, *obsOut, *verbose)
-		}
-		if doc.Sweep != nil {
-			if obsFiles {
-				return fmt.Errorf("-trace-out/-telemetry-out record a single run: %s holds a Sweep, not a Spec", *specIn)
-			}
-			return runSweep(out, *doc.Sweep, *seed, *workers, *verbose)
-		}
-		if obsFiles {
-			return runObserved(out, ob, *doc.Spec, *seed, "", *verbose)
-		}
-		m, err := farm.Run(*doc.Spec, *seed)
-		if err != nil {
-			return err
-		}
-		printMetrics(out, m, "", doc.Spec.CacheBytes > 0, *verbose)
-		return nil
+		}()
 	}
+	return m.run(c)
+}
 
-	// Resolve the base spec: a registered scenario or the ad-hoc flags.
-	// gridBase carries a grid scenario's full sweep (richer than base +
-	// axes can express, e.g. static-vs-controlled's policy axis).
-	var base farm.Spec
-	var gridBase *farm.Sweep
+// parseValues parses the grid flags and rejects values that are
+// nonsense on their own, whatever the mode: a bad -sweep or -select
+// must fail even alongside -scenarios, a negative pool would silently
+// serialize, and a zero batch would make every lease empty.
+func (c *cli) parseValues() error {
+	for _, s := range c.sweeps {
+		ax, err := farm.ParseAxis(s)
+		if err != nil {
+			return fmt.Errorf("%w\n%s", err, gridUsage)
+		}
+		c.axes = append(c.axes, ax)
+	}
+	if c.selectS != "" {
+		var err error
+		if c.selector, err = farm.ParseSelector(c.selectS); err != nil {
+			return fmt.Errorf("%w\n%s", err, gridUsage)
+		}
+	}
 	switch {
-	case *scenario != "":
-		sc, ok := farm.Lookup(*scenario)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (use -scenarios to list)", *scenario)
+	case c.workers < 0:
+		return fmt.Errorf("-workers %d: valid values are >= 1 (or 0 for one worker per core)", c.workers)
+	case c.simWorkers < 0:
+		return fmt.Errorf("-sim-workers %d: valid values are >= 1 (or 0 for one worker per core)", c.simWorkers)
+	case c.shards < 0:
+		return fmt.Errorf("-shards %d must be >= 1", c.shards)
+	case c.leaseD < time.Second:
+		return fmt.Errorf("-lease %v: valid values are >= 1s (workers heartbeat at a third of the lease)", c.leaseD)
+	case c.batchN < 1:
+		return fmt.Errorf("-batch %d: valid values are >= 1", c.batchN)
+	case c.isSet("afr-budget") && !(c.afrBudget > 0 && c.afrBudget < 1):
+		return fmt.Errorf("-afr-budget %v: the annual failure rate budget must be in (0,1)", c.afrBudget)
+	case c.isSet("cycle-cap") && !(c.cycleCap > 0 && !math.IsInf(c.cycleCap, 0)):
+		return fmt.Errorf("-cycle-cap %v: the cycle budget must be a positive number of cycles per disk-day", c.cycleCap)
+	}
+	return nil
+}
+
+// resolve picks the invocation's rows from the mode table and refuses
+// every explicitly set flag they do not take. A standalone mode needs
+// nothing more; for a document action, the one input becomes c.doc
+// with the override flags applied.
+func (c *cli) resolve() (*mode, error) {
+	if m := first(func(m *mode) bool { return m.role == standalone && c.isSet(m.flag) }); m != nil {
+		return m, c.refuse(m, func(string) bool { return true })
+	}
+	in := first(func(m *mode) bool { return m.role == input && c.isSet(m.flag) })
+	if in == nil {
+		return nil, fmt.Errorf("one of -scenario, -trace, -spec, -run-shard, or -merge is required (use -scenarios to list)")
+	}
+	if err := c.refuse(in, shapesDoc); err != nil {
+		return nil, err
+	}
+	doc, err := in.load(c)
+	if err != nil {
+		return nil, err
+	}
+	kind := onSpec
+	if doc.Sweep != nil || len(c.axes) > 0 {
+		kind = onGrid
+	}
+	act := first(func(m *mode) bool {
+		action := m.role == onAny || m.role == onSpec || m.role == onGrid
+		return action && (c.isSet(m.flag) || m.flag == "" && m.role == kind)
+	})
+	if err := c.refuse(act, func(f string) bool { return !shapesDoc(f) }); err != nil {
+		return nil, err
+	}
+	if act.role == onGrid && kind != onGrid {
+		return nil, fmt.Errorf("-%s needs a grid: add -sweep axes or use a grid scenario or file", act.flag)
+	}
+	c.doc, err = c.override(doc)
+	return act, err
+}
+
+// loadScenario resolves -scenario: a scenario with a grid resolves to
+// that grid, any other to its Spec.
+func (c *cli) loadScenario() (farm.File, error) {
+	sc, ok := farm.Lookup(c.scenario)
+	if !ok {
+		return farm.File{}, fmt.Errorf("unknown scenario %q (use -scenarios to list)", c.scenario)
+	}
+	c.sc = &sc
+	if sc.Grid != nil {
+		return farm.File{Sweep: sc.Grid}, nil
+	}
+	return farm.File{Spec: &sc.Spec}, nil
+}
+
+// loadSpec resolves -spec: the file's Spec or Sweep.
+func (c *cli) loadSpec() (farm.File, error) {
+	f, err := os.Open(c.specIn)
+	if err != nil {
+		return farm.File{}, err
+	}
+	defer f.Close()
+	doc, err := farm.DecodeFile(f)
+	if err != nil {
+		return farm.File{}, err
+	}
+	return *doc, nil
+}
+
+// loadTrace resolves -trace: a Spec assembled from the trace and the
+// allocation, spin-down, and cache flags.
+func (c *cli) loadTrace() (farm.File, error) {
+	f, err := os.Open(c.tracePath)
+	if err != nil {
+		return farm.File{}, err
+	}
+	tr, err := trace.Read(f)
+	f.Close()
+	if err != nil {
+		return farm.File{}, err
+	}
+	alloc, err := allocSpec(c.assignIn, c.algo, c.capL, c.farmN)
+	if err != nil {
+		return farm.File{}, err
+	}
+	spin, err := spinSpec(c.threshold)
+	if err != nil {
+		return farm.File{}, err
+	}
+	c.thr = c.threshold
+	return farm.File{Spec: &farm.Spec{
+		Name:       "disksim",
+		Workload:   farm.TraceWorkload(tr),
+		Alloc:      alloc,
+		Spin:       spin,
+		FarmSize:   c.farmN,
+		CacheBytes: int64(c.cacheB),
+	}}, nil
+}
+
+// override applies the override flags to a loaded document, in one
+// place: -control/-epoch/-budget and -cycle-cap rewrite a single Spec's
+// policy, -sweep axes then make or extend the grid, -select replaces
+// its selector, and -afr-budget upgrades an SLO selector to the
+// SLO-and-AFR kind. A grid fixes each point's policy, so the policy
+// overrides refuse one.
+func (c *cli) override(doc farm.File) (farm.File, error) {
+	controlFlags := c.controlName != "" || c.isSet("epoch") || c.isSet("budget")
+	switch {
+	case doc.Sweep != nil && controlFlags:
+		return doc, fmt.Errorf("-control cannot override scenario %s: its grid fixes each point's policy", c.scenario)
+	case doc.Sweep != nil && c.isSet("cycle-cap"):
+		return doc, fmt.Errorf("-cycle-cap cannot override scenario %s: its grid fixes each point's policy (use -afr-budget to retarget the selector)", c.scenario)
+	case c.isSet("cycle-cap") && slices.ContainsFunc(c.axes, func(a farm.Axis) bool { return a.Kind == farm.AxisSpinThreshold }):
+		// The threshold axis sets a fixed policy at every point,
+		// replacing the capped one.
+		return doc, fmt.Errorf("-cycle-cap cannot override a threshold axis: its grid fixes each point's policy (use -afr-budget to retarget the selector)")
+	}
+	if doc.Spec != nil {
+		spec := *doc.Spec
+		if controlFlags {
+			if err := c.overrideControl(&spec); err != nil {
+				return doc, err
+			}
 		}
-		if sc.Grid != nil {
-			if controlFlags {
-				return fmt.Errorf("-control cannot override scenario %s: its grid fixes each point's policy", sc.Name)
-			}
-			if wasSet("cycle-cap") {
-				return fmt.Errorf("-cycle-cap cannot override scenario %s: its grid fixes each point's policy (use -afr-budget to retarget the selector)", sc.Name)
-			}
-			gridBase = sc.Grid
-			base = sc.Grid.Base
-			break
-		}
-		if len(axes) == 0 && *selectS == "" && *specOut == "" && *shards == 0 && *serveAddr == "" && !controlFlags && !relFlags {
-			if sc.Spec.Control != nil {
-				// Controlled scenarios run through the control plane so
-				// the report carries the telemetry windows.
-				if err := ob.beginRun(sc.Spec, *seed); err != nil {
-					return err
-				}
-				res, err := control.RunSpec(sc.Spec, *seed)
-				if err != nil {
-					return ob.runErr(err)
-				}
-				printControlled(out, res, sc.Spec.CacheBytes > 0, *verbose)
-				return nil
-			}
-			if obsFiles {
-				if sc.Sweep != nil {
-					return fmt.Errorf("-trace-out/-telemetry-out record a single run: scenario %s sweeps thresholds (run its chosen operating point as a -spec)", sc.Name)
-				}
-				// The file sinks need epoch windows to exist, so the
-				// open-loop run streams instead (byte-identical results;
-				// the report is the unified metrics form).
-				fmt.Fprintf(out, "scenario %s — %s\n\n", sc.Name, sc.Doc)
-				return runObserved(out, ob, sc.Spec, *seed, "", *verbose)
-			}
-			res, err := farm.RunScenario(*scenario, *seed)
-			if err != nil {
-				return err
-			}
-			printScenario(out, res, *verbose)
-			return nil
-		}
-		base = sc.Spec
-		if sc.Sweep != nil {
-			// The scenario's own threshold search joins the grid: its
-			// axis comes first and its SLO rule applies unless -select
-			// overrides it.
-			grid := sc.Sweep.Grid(sc.Name, sc.Spec)
-			axes = append(grid.Axes, axes...)
-			if *selectS == "" {
-				selector = grid.Select
+		if c.isSet("cycle-cap") {
+			if err := c.overrideCycleCap(&spec); err != nil {
+				return doc, err
 			}
 		}
-	case *tracePath == "":
-		return fmt.Errorf("one of -scenario, -trace, -spec, -run-shard, or -merge is required (use -scenarios to list)")
+		doc.Spec = &spec
+		if len(c.axes) > 0 {
+			doc = farm.File{Sweep: &farm.Sweep{Name: spec.Name, Base: spec}}
+		} else if c.selector.Kind != farm.SelectNone {
+			return doc, fmt.Errorf("-select needs a grid: add at least one -sweep axis")
+		}
+	}
+	if doc.Sweep != nil {
+		s := *doc.Sweep
+		s.Axes = slices.Concat(s.Axes, c.axes)
+		if c.selectS != "" {
+			s.Select = c.selector
+		}
+		doc.Sweep = &s
+	}
+	if c.isSet("afr-budget") {
+		if doc.Sweep == nil || doc.Sweep.Select.Kind != farm.SelectMinEnergySLO && doc.Sweep.Select.Kind != farm.SelectMinEnergySLOAFR {
+			return doc, fmt.Errorf("-afr-budget needs an SLO selector: add -select slo=SECONDS or use a sweep scenario")
+		}
+		doc.Sweep.Select.Kind = farm.SelectMinEnergySLOAFR
+		doc.Sweep.Select.MaxAFR = c.afrBudget
+	}
+	return doc, nil
+}
+
+// overrideControl folds -control/-epoch/-budget into a spec: "static"
+// strips a scenario's controller, anything else installs or rewrites
+// one (the scenario's own epoch and budget survive unless overridden).
+func (c *cli) overrideControl(spec *farm.Spec) error {
+	if c.controlName == "static" || c.controlName == "none" {
+		if c.isSet("epoch") || c.isSet("budget") {
+			return fmt.Errorf("-epoch/-budget have no effect with -control %s", c.controlName)
+		}
+		spec.Control = nil
+		return nil
+	}
+	cs := farm.ControlSpec{}
+	if spec.Control != nil {
+		cs = *spec.Control
+	}
+	if c.controlName != "" {
+		cs.Controller = c.controlName
+	}
+	if c.isSet("epoch") {
+		cs.Epoch = c.epochF
+	}
+	if c.isSet("budget") {
+		cs.BudgetP95 = c.budgetF
+	}
+	if cs.Controller == "" {
+		return fmt.Errorf("-epoch/-budget need -control NAME (or a controlled scenario); controllers: tail-budget, rate-respec")
+	}
+	if _, err := control.ParseKind(cs.Controller); err != nil {
+		return err
+	}
+	if cs.Epoch == 0 {
+		cs.Epoch = control.DefaultEpoch
+	}
+	spec.Control = &cs
+	// A threshold-family spin policy becomes the tunable kind the
+	// tail-budget controller actuates (a fixed threshold survives as the
+	// initial value). Other kinds — adaptive, randomized, never,
+	// immediate — are left alone; the controller can still observe and
+	// re-spec, it just has no threshold knob.
+	switch spec.Spin.Kind {
+	case farm.SpinBreakEven:
+		spec.Spin = farm.SpinSpec{Kind: farm.SpinTailAware}
+	case farm.SpinFixed:
+		spec.Spin = farm.SpinSpec{Kind: farm.SpinTailAware, Threshold: spec.Spin.Threshold}
+	}
+	return nil
+}
+
+// overrideCycleCap folds -cycle-cap into a spec: under a tail-budget
+// controller it becomes the controller's cycle budget (the knob stays
+// tunable); open-loop it rewrites a threshold-family spin policy to the
+// cycle-capped kind, keeping a fixed threshold as the initial value.
+func (c *cli) overrideCycleCap(spec *farm.Spec) error {
+	switch {
+	case spec.Control != nil:
+		// Copy-on-write: a controlled scenario's ControlSpec is shared
+		// with the registry.
+		cs := *spec.Control
+		cs.CycleBudget = c.cycleCap
+		spec.Control = &cs
+	case spec.Spin.Kind == farm.SpinBreakEven:
+		spec.Spin = farm.CycleCapSpin(0, c.cycleCap)
+	case spec.Spin.Kind == farm.SpinFixed:
+		spec.Spin = farm.CycleCapSpin(spec.Spin.Threshold, c.cycleCap)
+	case spec.Spin.Kind == farm.SpinCycleBudget:
+		spec.Spin.CycleBudget = c.cycleCap
 	default:
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.Read(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		alloc, err := allocSpec(*assignIn, *algo, *capL, *farmN)
-		if err != nil {
-			return err
-		}
-		spin, err := spinSpec(*threshold)
-		if err != nil {
-			return err
-		}
-		base = farm.Spec{
-			Name:       "disksim",
-			Workload:   farm.TraceWorkload(tr),
-			Alloc:      alloc,
-			Spin:       spin,
-			FarmSize:   *farmN,
-			CacheBytes: int64(*cacheB),
-		}
+		return fmt.Errorf("-cycle-cap needs a threshold-family spin policy, not %v", spec.Spin.Kind)
 	}
+	return nil
+}
 
-	// Fold the -control/-epoch/-budget overrides into the base spec:
-	// "static" strips a scenario's controller, anything else installs
-	// or rewrites one (the scenario's own epoch and budget survive
-	// unless overridden).
-	if controlFlags {
-		if *controlName == "static" || *controlName == "none" {
-			if wasSet("epoch") || wasSet("budget") {
-				return fmt.Errorf("-epoch/-budget have no effect with -control %s", *controlName)
-			}
-			base.Control = nil
-		} else {
-			cs := farm.ControlSpec{}
-			if base.Control != nil {
-				cs = *base.Control
-			}
-			if *controlName != "" {
-				cs.Controller = *controlName
-			}
-			if wasSet("epoch") {
-				cs.Epoch = *epochF
-			}
-			if wasSet("budget") {
-				cs.BudgetP95 = *budgetF
-			}
-			if cs.Controller == "" {
-				return fmt.Errorf("-epoch/-budget need -control NAME (or a controlled scenario); controllers: tail-budget, rate-respec")
-			}
-			if _, err := control.ParseKind(cs.Controller); err != nil {
-				return err
-			}
-			if cs.Epoch == 0 {
-				cs.Epoch = control.DefaultEpoch
-			}
-			base.Control = &cs
-			// A threshold-family spin policy becomes the tunable kind the
-			// tail-budget controller actuates (a fixed threshold survives
-			// as the initial value). Other kinds — adaptive, randomized,
-			// never, immediate — are left alone; the controller can still
-			// observe and re-spec, it just has no threshold knob.
-			switch base.Spin.Kind {
-			case farm.SpinBreakEven:
-				base.Spin = farm.SpinSpec{Kind: farm.SpinTailAware}
-			case farm.SpinFixed:
-				base.Spin = farm.SpinSpec{Kind: farm.SpinTailAware, Threshold: base.Spin.Threshold}
-			}
-		}
-	}
-
-	// Fold -cycle-cap into the base: under a tail-budget controller it
-	// becomes the controller's cycle budget (the knob stays tunable);
-	// open-loop it rewrites a threshold-family spin policy to the
-	// cycle-capped kind, keeping a fixed threshold as the initial value.
-	if wasSet("cycle-cap") {
-		switch {
-		case base.Control != nil:
-			// Copy-on-write: a controlled scenario's ControlSpec is shared
-			// with the registry.
-			cs := *base.Control
-			cs.CycleBudget = *cycleCap
-			base.Control = &cs
-		case base.Spin.Kind == farm.SpinBreakEven:
-			base.Spin = farm.CycleCapSpin(0, *cycleCap)
-		case base.Spin.Kind == farm.SpinFixed:
-			base.Spin = farm.CycleCapSpin(base.Spin.Threshold, *cycleCap)
-		case base.Spin.Kind == farm.SpinCycleBudget:
-			base.Spin.CycleBudget = *cycleCap
-		default:
-			return fmt.Errorf("-cycle-cap needs a threshold-family spin policy, not %v", base.Spin.Kind)
-		}
-	}
-
-	// Fold -afr-budget into the selector: an SLO rule — from -select,
-	// the scenario's sweep, or a grid scenario — upgrades to the
-	// SLO-and-AFR kind at the given budget.
-	selOverride := *selectS != ""
-	if wasSet("afr-budget") {
-		target := selector
-		if !selOverride && gridBase != nil {
-			target = gridBase.Select
-		}
-		switch target.Kind {
-		case farm.SelectMinEnergySLO, farm.SelectMinEnergySLOAFR:
-			target.Kind = farm.SelectMinEnergySLOAFR
-			target.MaxAFR = *afrBudget
-		default:
-			return fmt.Errorf("-afr-budget needs an SLO selector: add -select slo=SECONDS or use a sweep scenario")
-		}
-		selector = target
-		selOverride = true
-	}
-
-	// mkSweep assembles the grid every distributed mode operates on: a
-	// grid scenario's own sweep (extended by any -sweep axes), or the
-	// ad-hoc base × axes.
-	hasGrid := len(axes) > 0 || gridBase != nil
-	mkSweep := func() farm.Sweep {
-		if gridBase != nil {
-			s := *gridBase
-			s.Axes = append(append([]farm.Axis{}, s.Axes...), axes...)
-			if selOverride {
-				s.Select = selector
-			}
-			return s
-		}
-		return farm.Sweep{Name: base.Name, Base: base, Axes: axes, Select: selector}
-	}
-
-	if selector.Kind != farm.SelectNone && !hasGrid {
-		return fmt.Errorf("-select needs a grid: add at least one -sweep axis")
-	}
-	if obsFiles && hasGrid {
-		return fmt.Errorf("-trace-out/-telemetry-out record a single run: drop the -sweep axes (or run one grid point as a -spec)")
-	}
-	if *shards > 0 {
-		if !hasGrid {
-			return fmt.Errorf("-shards needs a grid: add -sweep axes or use a sweep scenario/spec")
-		}
-		return writeShards(mkSweep(), *seed, *shards, *shardOut, out)
-	}
-	if *serveAddr != "" {
-		if !hasGrid {
-			return fmt.Errorf("-serve needs a grid: add -sweep axes or use a sweep scenario/spec")
-		}
-		return serveSweep(out, mkSweep(), *seed, *serveAddr, *journalPath, *leaseD, *batchN, *token, *obsOut, *verbose)
-	}
-
-	if *specOut != "" {
-		doc := farm.File{}
-		if hasGrid {
-			s := mkSweep()
-			doc.Sweep = &s
-		} else {
-			doc.Spec = &base
-		}
-		f, err := os.Create(*specOut)
-		if err != nil {
-			return err
-		}
-		err = farm.EncodeFile(f, doc)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *specOut)
-		return nil
-	}
-
-	if hasGrid {
-		return runSweep(out, mkSweep(), *seed, *workers, *verbose)
-	}
-	if base.Control != nil {
-		if err := ob.beginRun(base, *seed); err != nil {
-			return err
-		}
-		res, err := control.RunSpec(base, *seed)
-		if err != nil {
-			return ob.runErr(err)
-		}
-		printControlled(out, res, base.CacheBytes > 0, *verbose)
-		return nil
-	}
-	// The threshold header is the ad-hoc flag's echo; scenario-based
-	// bases carry their policy in the spec.
-	thr := ""
-	if *tracePath != "" {
-		thr = *threshold
-	}
-	if obsFiles {
-		return runObserved(out, ob, base, *seed, thr, *verbose)
-	}
-	m, err := farm.Run(base, *seed)
+// writeSpec writes the resolved document as JSON (-spec-out).
+func (c *cli) writeSpec() error {
+	f, err := os.Create(c.specOut)
 	if err != nil {
 		return err
 	}
-	printMetrics(out, m, thr, base.CacheBytes > 0, *verbose)
+	err = farm.EncodeFile(f, c.doc)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.out, "wrote %s\n", c.specOut)
+	return nil
+}
+
+// runSpec runs a single Spec, whichever input it came from. A
+// controlled spec runs through the control plane so the report carries
+// its telemetry windows. An open-loop one runs through farm.Run — or,
+// with file sinks attached, through the telemetry stream with a
+// do-nothing sink (byte-identical to farm.Run), so epoch windows exist
+// for the telemetry log and the trace's counter track.
+func (c *cli) runSpec() error {
+	spec := *c.doc.Spec
+	if err := c.ob.beginRun(spec, c.seed); err != nil {
+		return err
+	}
+	var res *control.Result
+	var m *farm.Metrics
+	var err error
+	switch {
+	case spec.Control != nil:
+		res, err = control.RunSpec(spec, c.seed)
+	case c.ob.files():
+		m, err = farm.RunStream(spec, c.seed, obsEpoch(spec), nil)
+	default:
+		m, err = farm.Run(spec, c.seed)
+	}
+	if err != nil {
+		return c.ob.runErr(err)
+	}
+	// The header rule: a -scenario input names its scenario above the
+	// report of its single Spec.
+	if c.sc != nil {
+		fmt.Fprintf(c.out, "scenario %s — %s\n\n", c.sc.Name, c.sc.Doc)
+	}
+	if res != nil {
+		printControlled(c.out, res, spec.CacheBytes > 0, c.verbose)
+	} else {
+		printMetrics(c.out, m, c.thr, spec.CacheBytes > 0, c.verbose)
+	}
 	return nil
 }
 
@@ -1190,40 +1201,10 @@ func listScenarios(out io.Writer) {
 		switch {
 		case sc.Grid != nil:
 			kind = fmt.Sprintf("grid of %d points", sc.Grid.NumPoints())
-		case sc.Sweep != nil:
-			kind = fmt.Sprintf("sweep over %d thresholds", len(sc.Sweep.Thresholds))
 		case sc.Spec.Control != nil:
 			kind = "controlled"
 		}
 		fmt.Fprintf(out, "%-20s %-18s %s\n", sc.Name, kind, sc.Doc)
-	}
-}
-
-func printScenario(out io.Writer, res *farm.Result, verbose bool) {
-	fmt.Fprintf(out, "scenario %s — %s\n", res.Scenario.Name, res.Scenario.Doc)
-	if res.Scenario.Sweep == nil {
-		fmt.Fprintln(out)
-		printMetrics(out, res.Runs[0], "", res.Scenario.Spec.CacheBytes > 0, verbose)
-		return
-	}
-	fmt.Fprintf(out, "SLO: p95 response <= %g s\n\n", res.Scenario.Sweep.MaxP95)
-	fmt.Fprintf(out, "%-18s %10s %10s %10s %10s %8s\n", "point", "power(W)", "saving", "p95(s)", "mean(s)", "meets?")
-	for i, m := range res.Runs {
-		mark := "no"
-		if m.RespP95 <= res.Scenario.Sweep.MaxP95 {
-			mark = "yes"
-		}
-		if i == res.Best {
-			mark = "chosen"
-		}
-		fmt.Fprintf(out, "%-18s %10.1f %9.1f%% %10.2f %10.2f %8s\n",
-			res.Labels[i], m.AvgPower, m.PowerSavingRatio*100, m.RespP95, m.RespMean, mark)
-	}
-	if res.Best < 0 {
-		fmt.Fprintln(out, "\nno threshold meets the SLO — add disks or relax the target")
-	} else {
-		best := res.Runs[res.Best]
-		fmt.Fprintf(out, "\noperating point: %s (%.1f W, p95 %.2f s)\n", res.Labels[res.Best], best.AvgPower, best.RespP95)
 	}
 }
 
@@ -1317,7 +1298,8 @@ func printPlanSweep(out io.Writer, res *farm.SweepResult) {
 // printControlled renders a closed-loop run: the unified metrics, a
 // per-window telemetry table, and (verbose) the controller's action
 // log. Everything printed is a pure function of (spec, seed), so two
-// runs diff clean — the CI control-smoke job depends on that.
+// runs diff clean — TestControlledRunDeterministicOutput depends on
+// that.
 func printControlled(out io.Writer, res *control.Result, withCache, verbose bool) {
 	m := res.Metrics
 	fmt.Fprintf(out, "controller        %s (%d windows, %d actions)\n", res.Controller, len(res.Windows), len(res.Actions))

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"diskpack/internal/disk"
 	"diskpack/internal/farm"
+	"diskpack/internal/trace"
 	"diskpack/internal/workload"
 )
 
@@ -53,60 +56,105 @@ func writeGridSpec(t *testing.T, dir string) string {
 	return path
 }
 
+// writeTrace writes a small synthetic trace file and returns its path.
+func writeTrace(t *testing.T, dir string) string {
+	t.Helper()
+	cfg := workload.DefaultSynthetic(2, 0)
+	cfg.NumFiles = 300
+	cfg.MinSize = disk.MB
+	cfg.MaxSize = 40 * disk.MB
+	tr, err := farm.BuildTrace(farm.SyntheticWorkload(cfg), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "small.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Write(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// gridInput is one grid route the route-identity tests replay.
+type gridInput struct {
+	name   string
+	args   []string
+	shard0 int // points in shard 0 of 2
+}
+
+// gridInputs are a spec-file grid and the two SLO-selected grid
+// scenarios.
+func gridInputs(t *testing.T, dir string) []gridInput {
+	return []gridInput{
+		{"spec-file", []string{"-spec", writeGridSpec(t, dir), "-seed", "5"}, 2},
+		{"slo-sweep", []string{"-scenario", "slo-sweep", "-seed", "7"}, 4},
+		{"reliability-sweep", []string{"-scenario", "reliability-sweep", "-seed", "7"}, 2},
+	}
+}
+
 // TestShardMergeMatchesSingleRun drives the whole CLI path the CI
-// matrix job uses: shard a spec-file grid, run each shard, merge, and
-// require the merged report to be byte-identical to the single-process
-// run of the same file.
+// matrix job uses: shard a grid, run each shard, merge, and require the
+// merged report to be byte-identical to the single-process run of the
+// same grid — for a spec-file grid and for grid scenarios.
 func TestShardMergeMatchesSingleRun(t *testing.T) {
 	dir := t.TempDir()
-	spec := writeGridSpec(t, dir)
+	for _, in := range gridInputs(t, dir) {
+		t.Run(in.name, func(t *testing.T) {
+			var single bytes.Buffer
+			if err := run(in.args, &single); err != nil {
+				t.Fatal(err)
+			}
 
-	var single bytes.Buffer
-	if err := run([]string{"-spec", spec, "-seed", "5"}, &single); err != nil {
-		t.Fatal(err)
-	}
+			shardDir := filepath.Join(dir, "shards-"+in.name)
+			if err := run(append(in.args, "-shards", "2", "-shard-out", shardDir), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"shard-000.json", "shard-001.json"} {
+				if err := run([]string{"-run-shard", filepath.Join(shardDir, name)}, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var merged bytes.Buffer
+			if err := run([]string{"-merge", shardDir}, &merged); err != nil {
+				t.Fatal(err)
+			}
+			if single.String() != merged.String() {
+				t.Fatalf("merged report differs from the single-process run:\n--- single\n%s--- merged\n%s", single.String(), merged.String())
+			}
 
-	shardDir := filepath.Join(dir, "shards")
-	if err := run([]string{"-spec", spec, "-seed", "5", "-shards", "2", "-shard-out", shardDir}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"shard-000.json", "shard-001.json"} {
-		if err := run([]string{"-run-shard", filepath.Join(shardDir, name)}, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var merged bytes.Buffer
-	if err := run([]string{"-merge", shardDir}, &merged); err != nil {
-		t.Fatal(err)
-	}
-	if single.String() != merged.String() {
-		t.Fatalf("merged report differs from the single-process run:\n--- single\n%s--- merged\n%s", single.String(), merged.String())
-	}
+			// Re-running a shard resumes: the result file already holds
+			// every point, so nothing is recomputed and the merge still
+			// matches.
+			var rerun bytes.Buffer
+			if err := run([]string{"-run-shard", filepath.Join(shardDir, "shard-000.json")}, &rerun); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(rerun.String(), fmt.Sprintf("(%d reused)", in.shard0)) {
+				t.Errorf("re-run did not resume from the existing result file: %q", rerun.String())
+			}
+			merged.Reset()
+			if err := run([]string{"-merge", shardDir}, &merged); err != nil {
+				t.Fatal(err)
+			}
+			if single.String() != merged.String() {
+				t.Fatal("merged report changed after a resumed re-run")
+			}
 
-	// Re-running a shard resumes: the result file already holds every
-	// point, so nothing is recomputed and the merge still matches.
-	var rerun bytes.Buffer
-	if err := run([]string{"-run-shard", filepath.Join(shardDir, "shard-000.json")}, &rerun); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rerun.String(), "(2 reused)") {
-		t.Errorf("re-run did not resume from the existing result file: %q", rerun.String())
-	}
-	merged.Reset()
-	if err := run([]string{"-merge", shardDir}, &merged); err != nil {
-		t.Fatal(err)
-	}
-	if single.String() != merged.String() {
-		t.Fatal("merged report changed after a resumed re-run")
-	}
-
-	// A post-merge -select override re-picks the operating point.
-	var reselected bytes.Buffer
-	if err := run([]string{"-merge", shardDir, "-select", "pareto"}, &reselected); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(reselected.String(), "pareto front") {
-		t.Errorf("-merge -select pareto did not re-select:\n%s", reselected.String())
+			// A post-merge -select override re-picks the operating point.
+			var reselected bytes.Buffer
+			if err := run([]string{"-merge", shardDir, "-select", "pareto"}, &reselected); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(reselected.String(), "pareto front") {
+				t.Errorf("-merge -select pareto did not re-select:\n%s", reselected.String())
+			}
+		})
 	}
 }
 
@@ -143,9 +191,29 @@ func TestBadGridFlagsFail(t *testing.T) {
 	}
 }
 
+// TestModeTableNamesRealFlags keeps the mode table and the flag set in
+// step: every flag a row names exists, and every flag has a row that
+// takes it (one no row took would be refused by every mode).
+func TestModeTableNamesRealFlags(t *testing.T) {
+	flags := (&cli{}).flagSet()
+	for _, m := range modes {
+		for _, name := range append(strings.Fields(m.accepts), m.flag) {
+			if name != "" && flags.Lookup(name) == nil {
+				t.Errorf("row %s names undefined flag -%s", m.String(), name)
+			}
+		}
+	}
+	flags.VisitAll(func(f *flag.Flag) {
+		if !slices.Contains(everyMode, f.Name) && first(func(m *mode) bool { return m.flag == f.Name || m.takes(f.Name) }) == nil {
+			t.Errorf("no row of the mode table takes -%s", f.Name)
+		}
+	})
+}
+
 func TestShardFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeGridSpec(t, dir)
+	tr := writeTrace(t, dir)
 	cases := [][]string{
 		{"-spec", spec, "-shards", "2"},                                         // no -shard-out
 		{"-run-shard", "x.json", "-sweep", "threshold=30"},                      // run-shard is self-contained
@@ -164,6 +232,11 @@ func TestShardFlagConflicts(t *testing.T) {
 		{"-spec", spec, "-shards", "-1", "-shard-out", dir},                                           // negative count on the spec path too
 		{"-scenarios", "-run-shard", "x.json"},                                                        // list mode ignores every other flag
 		{"-scenarios", "-shards", "2", "-shard-out", dir},
+		{"-scenario", "paper-synth", "-threshold", "900", "-algo", "random", "-L", "0.3", "-disks", "50", "-cache", "16e9"}, // ad-hoc flags shape -trace runs only
+		{"-spec", spec, "-threshold", "900", "-algo", "random"},
+		{"-scenario", "paper-synth", "-trace", tr}, // two inputs: one would silently win
+		{"-spec", spec, "-scenario", "paper-synth"},
+		{"-spec", spec, "-trace", tr},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {
@@ -206,6 +279,7 @@ func TestCoordFlagConflicts(t *testing.T) {
 	cases := [][]string{
 		{"-spec", spec, "-serve", ":0", "-shards", "2", "-shard-out", dir}, // two distribution modes
 		{"-spec", spec, "-serve", ":0", "-workers", "2"},                   // pool size belongs to -work
+		{"-scenario", "paper-synth", "-workers", "4"},                      // a single run has no pool to size
 		{"-scenario", "paper-synth", "-serve", ":0"},                       // no grid
 		{"-work", "http://x", "-scenario", "paper-synth"},                  // worker pulls everything
 		{"-work", "http://x", "-select", "knee"},
@@ -259,50 +333,52 @@ func waitDialable(t *testing.T, addr string) {
 // TestServeWorkMatchesSingleRun drives the elastic pool through the
 // CLI exactly as the CI job does: -serve on localhost, two -work
 // processes (in-process here), and a report byte-identical to the
-// single-process run of the same spec file.
+// single-process run of the same grid — a spec file or a grid scenario.
 func TestServeWorkMatchesSingleRun(t *testing.T) {
 	dir := t.TempDir()
-	spec := writeGridSpec(t, dir)
+	for _, in := range gridInputs(t, dir) {
+		t.Run(in.name, func(t *testing.T) {
+			var single bytes.Buffer
+			if err := run(in.args, &single); err != nil {
+				t.Fatal(err)
+			}
 
-	var single bytes.Buffer
-	if err := run([]string{"-spec", spec, "-seed", "5"}, &single); err != nil {
-		t.Fatal(err)
-	}
+			addr := freeAddr(t)
+			journal := filepath.Join(dir, in.name+".journal")
+			var served bytes.Buffer
+			serveErr := make(chan error, 1)
+			go func() {
+				serveErr <- run(append(in.args, "-serve", addr,
+					"-journal", journal, "-lease", "5s", "-batch", "2"), &served)
+			}()
+			waitDialable(t, addr)
 
-	addr := freeAddr(t)
-	journal := filepath.Join(dir, "coord.journal")
-	var served bytes.Buffer
-	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- run([]string{"-spec", spec, "-seed", "5", "-serve", addr,
-			"-journal", journal, "-lease", "5s", "-batch", "2"}, &served)
-	}()
-	waitDialable(t, addr)
-
-	workErr := make(chan error, 2)
-	var workOut [2]bytes.Buffer
-	for i := 0; i < 2; i++ {
-		go func(i int) {
-			workErr <- run([]string{"-work", "http://" + addr, "-workers", "2",
-				"-name", fmt.Sprintf("w%d", i)}, &workOut[i])
-		}(i)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-workErr; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatal(err)
-	}
-	if single.String() != served.String() {
-		t.Fatalf("coordinator report differs from the single-process run:\n--- single\n%s--- served\n%s", single.String(), served.String())
-	}
-	if workOut[0].String()+workOut[1].String() == "" {
-		t.Error("workers reported nothing")
-	}
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Errorf("journal not cleaned up after success: %v", err)
+			workErr := make(chan error, 2)
+			var workOut [2]bytes.Buffer
+			for i := 0; i < 2; i++ {
+				go func(i int) {
+					workErr <- run([]string{"-work", "http://" + addr, "-workers", "2",
+						"-name", fmt.Sprintf("w%d", i)}, &workOut[i])
+				}(i)
+			}
+			for i := 0; i < 2; i++ {
+				if err := <-workErr; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := <-serveErr; err != nil {
+				t.Fatal(err)
+			}
+			if single.String() != served.String() {
+				t.Fatalf("coordinator report differs from the single-process run:\n--- single\n%s--- served\n%s", single.String(), served.String())
+			}
+			if workOut[0].String()+workOut[1].String() == "" {
+				t.Error("workers reported nothing")
+			}
+			if _, err := os.Stat(journal); !os.IsNotExist(err) {
+				t.Errorf("journal not cleaned up after success: %v", err)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -113,8 +112,8 @@ func startObs(traceOut, telemetryOut, metricsAddr string) (ob *obsOutputs, err e
 	return ob, nil
 }
 
-// files reports whether any file sink is attached (the modes that need
-// the single-run restriction and the graceful-SIGINT path).
+// files reports whether any file sink is attached (an open-loop run
+// then streams so windows exist, and SIGINT aborts it gracefully).
 func (ob *obsOutputs) files() bool {
 	return ob != nil && (ob.rec != nil || ob.tw != nil)
 }
@@ -194,28 +193,4 @@ func (ob *obsOutputs) stop() (err error) {
 		}
 	})
 	return err
-}
-
-// runObserved executes one open-loop (or control-hooked) spec with
-// file sinks attached. Open-loop specs go through the telemetry
-// stream with a do-nothing sink — byte-identical to farm.Run — so
-// epoch windows exist for the telemetry log and the trace's counter
-// track; controlled spec files keep going through farm.Run, whose
-// control hook streams internally.
-func runObserved(out io.Writer, ob *obsOutputs, spec farm.Spec, seed int64, thr string, verbose bool) error {
-	if err := ob.beginRun(spec, seed); err != nil {
-		return err
-	}
-	var m *farm.Metrics
-	var err error
-	if spec.Control != nil {
-		m, err = farm.Run(spec, seed)
-	} else {
-		m, err = farm.RunStream(spec, seed, obsEpoch(spec), nil)
-	}
-	if err != nil {
-		return ob.runErr(err)
-	}
-	printMetrics(out, m, thr, spec.CacheBytes > 0, verbose)
-	return nil
 }

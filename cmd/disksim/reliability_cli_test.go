@@ -22,6 +22,8 @@ func TestReliabilityFlagValidation(t *testing.T) {
 		{"-scenario", "reliability-sweep", "-cycle-cap", "2"},                                         // grid fixes each point's policy
 		{"-spec", spec, "-cycle-cap", "2"},                                                            // spec files are edited, not flagged
 		{"-spec", spec, "-afr-budget", "0.1"},
+		{"-scenario", "bursty", "-sweep", "threshold=30,600", "-cycle-cap", "0.5"}, // the threshold axis replaces the capped policy
+		{"-scenario", "slo-sweep", "-cycle-cap", "0.5"},
 	}
 	for _, args := range fail {
 		if err := run(args, io.Discard); err == nil {
@@ -51,9 +53,9 @@ func TestAFRBudgetUpgradesSelector(t *testing.T) {
 	}
 }
 
-// TestFailureInjectionCLIDeterministic is the in-process twin of the
-// CI reliability-smoke job: two runs of the failure-injection scenario
-// at the same seed must print byte-identical reports.
+// TestFailureInjectionCLIDeterministic pins the reliability
+// determinism contract: two runs of the failure-injection scenario at
+// the same seed must print byte-identical reports.
 func TestFailureInjectionCLIDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := run([]string{"-scenario", "failure-injection", "-seed", "7"}, &a); err != nil {

@@ -128,18 +128,21 @@ func init() {
 			Spin:  SpinSpec{Kind: SpinBreakEven},
 		},
 	})
+	sloBase := Spec{
+		Name:     "slo-sweep",
+		Workload: NERSCWorkload(miniNERSC(8000, 10000)),
+		Alloc:    Packed(0.8),
+		Spin:     SpinSpec{Kind: SpinBreakEven}, // overridden per sweep point
+	}
 	Register(Scenario{
 		Name: "slo-sweep",
 		Doc:  "Spin-down threshold sweep picking the cheapest point with p95 response <= 25 s",
-		Spec: Spec{
-			Name:     "slo-sweep",
-			Workload: NERSCWorkload(miniNERSC(8000, 10000)),
-			Alloc:    Packed(0.8),
-			Spin:     SpinSpec{Kind: SpinBreakEven}, // overridden per sweep point
-		},
-		Sweep: &SLOSweep{
-			Thresholds: []float64{30, 60, 120, 300, 900, 1800, 3600},
-			MaxP95:     25,
+		Spec: sloBase,
+		Grid: &Sweep{
+			Name:   "slo-sweep",
+			Base:   sloBase,
+			Axes:   []Axis{{Kind: AxisSpinThreshold, Values: []float64{30, 60, 120, 300, 900, 1800, 3600}}},
+			Select: Selector{Kind: SelectMinEnergySLO, MaxP95: 25},
 		},
 	})
 	Register(Scenario{

@@ -252,16 +252,17 @@ func TestBuiltinScenariosRun(t *testing.T) {
 				}
 			}
 			switch {
-			case sc.Sweep != nil:
-				if res.Best >= 0 && res.Runs[res.Best].RespP95 > sc.Sweep.MaxP95 {
-					t.Fatalf("chosen operating point violates the SLO: p95 %v > %v",
-						res.Runs[res.Best].RespP95, sc.Sweep.MaxP95)
-				}
 			case sc.Grid != nil:
 				// Grid scenarios pick Best with their own selector (or
 				// none: -1); any in-range index is valid here.
 				if res.Best < -1 || res.Best >= len(res.Runs) {
 					t.Fatalf("grid scenario Best = %d with %d runs", res.Best, len(res.Runs))
+				}
+				sel := sc.Grid.Select
+				slo := sel.Kind == SelectMinEnergySLO || sel.Kind == SelectMinEnergySLOAFR
+				if slo && res.Best >= 0 && res.Runs[res.Best].RespP95 > sel.MaxP95 {
+					t.Fatalf("chosen operating point violates the SLO: p95 %v > %v",
+						res.Runs[res.Best].RespP95, sel.MaxP95)
 				}
 			default:
 				if res.Best != 0 {
@@ -284,7 +285,12 @@ func TestSLOSweepSelection(t *testing.T) {
 			Alloc:    Packed(0.7),
 			Spin:     SpinSpec{Kind: SpinBreakEven},
 		},
-		Sweep: &SLOSweep{Thresholds: []float64{10, 600}, MaxP95: 1e9},
+	}
+	sweep.Grid = &Sweep{
+		Name:   sweep.Name,
+		Base:   sweep.Spec,
+		Axes:   []Axis{{Kind: AxisSpinThreshold, Values: []float64{10, 600}}},
+		Select: Selector{Kind: SelectMinEnergySLO, MaxP95: 1e9},
 	}
 	res, err := runScenario(sweep, 2)
 	if err != nil {

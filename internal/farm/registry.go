@@ -2,54 +2,9 @@ package farm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
-
-// SLOSweep turns a scenario into an operating-point search: the base
-// Spec is run once per threshold (overriding its spin policy with a
-// fixed threshold) and the sweep reports the most power-frugal point
-// whose p95 response time stays within the SLO — the paper's trade-off
-// posed as the question an operator actually asks.
-//
-// SLOSweep predates the general grid engine and is now a thin alias
-// over it: Grid() compiles it to a one-axis Sweep with a
-// SelectMinEnergySLO selector, and runScenario executes that.
-type SLOSweep struct {
-	// Thresholds are the idleness thresholds to try, in seconds.
-	Thresholds []float64
-	// MaxP95 is the response-time SLO in seconds.
-	MaxP95 float64
-}
-
-// Grid compiles the threshold search to its general form: a sweep of
-// the base spec along one AxisSpinThreshold axis, selecting the
-// cheapest point within the SLO.
-func (s *SLOSweep) Grid(name string, base Spec) Sweep {
-	return Sweep{
-		Name:   name,
-		Base:   base,
-		Axes:   []Axis{{Kind: AxisSpinThreshold, Values: s.Thresholds}},
-		Select: Selector{Kind: SelectMinEnergySLO, MaxP95: s.MaxP95},
-	}
-}
-
-// validate reports the first inconsistency.
-func (s *SLOSweep) validate() error {
-	if len(s.Thresholds) == 0 {
-		return fmt.Errorf("farm: sweep without thresholds")
-	}
-	for i, t := range s.Thresholds {
-		if t < 0 || math.IsNaN(t) {
-			return fmt.Errorf("farm: sweep threshold %d is %v", i, t)
-		}
-	}
-	if s.MaxP95 <= 0 || math.IsNaN(s.MaxP95) {
-		return fmt.Errorf("farm: sweep SLO %v must be positive", s.MaxP95)
-	}
-	return nil
-}
 
 // Scenario is a named, documented entry of the scenario catalogue.
 type Scenario struct {
@@ -58,26 +13,23 @@ type Scenario struct {
 	Doc string
 	// Spec is the scenario's simulation point.
 	Spec Spec
-	// Sweep, when non-nil, runs the spec once per threshold and selects
-	// an operating point (see SLOSweep).
-	Sweep *SLOSweep
 	// Grid, when non-nil, runs a full declarative sweep instead of the
-	// single Spec — scenarios whose point set is richer than a
-	// threshold search (e.g. static-vs-controlled comparisons) declare
-	// it here. Takes precedence over Sweep.
+	// single Spec and selects an operating point with its selector — a
+	// threshold search under an SLO, or a richer point set such as a
+	// static-vs-controlled comparison.
 	Grid *Sweep
 }
 
 // Result is the outcome of running a scenario: one Metrics per run
-// (single-element without a sweep) plus the sweep's verdict.
+// (single-element without a grid) plus the grid's verdict.
 type Result struct {
 	Scenario Scenario
-	// Labels[i] names Runs[i] (the threshold for sweep runs).
+	// Labels[i] names Runs[i] (the point label for grid runs).
 	Labels []string
 	Runs   []*Metrics
-	// Best indexes the chosen operating point in Runs: the
-	// lowest-energy run meeting the sweep's SLO, or −1 when no run
-	// meets it. Always 0 without a sweep.
+	// Best indexes the operating point the grid's selector chose in
+	// Runs, or −1 when it chose none (e.g. no run meets an SLO). Always
+	// 0 without a grid.
 	Best int
 }
 
@@ -95,11 +47,6 @@ func Register(sc Scenario) {
 	}
 	if err := sc.Spec.Validate(); err != nil {
 		panic(fmt.Sprintf("farm: scenario %q: %v", sc.Name, err))
-	}
-	if sc.Sweep != nil {
-		if err := sc.Sweep.validate(); err != nil {
-			panic(fmt.Sprintf("farm: scenario %q: %v", sc.Name, err))
-		}
 	}
 	if sc.Grid != nil {
 		if err := sc.Grid.Validate(); err != nil {
@@ -135,7 +82,7 @@ func Lookup(name string) (Scenario, bool) {
 }
 
 // RunScenario executes the named scenario: a single Run without a
-// sweep, or one Run per threshold with the sweep's operating-point
+// grid, or one Run per grid point with the grid's operating-point
 // selection.
 func RunScenario(name string, seed int64) (*Result, error) {
 	sc, ok := Lookup(name)
@@ -149,25 +96,19 @@ func RunScenario(name string, seed int64) (*Result, error) {
 	return runScenario(sc, seed)
 }
 
-// runScenario executes an already-resolved scenario. Threshold sweeps
-// and grid scenarios go through the grid engine: every point runs with
+// runScenario executes an already-resolved scenario. Grid scenarios
+// go through the grid engine: every point runs with
 // the scenario's seed (so the workload draw is shared and points stay
 // comparable), fanned across the machine's cores.
 func runScenario(sc Scenario, seed int64) (*Result, error) {
-	var grid Sweep
-	switch {
-	case sc.Grid != nil:
-		grid = *sc.Grid
-	case sc.Sweep != nil:
-		grid = sc.Sweep.Grid(sc.Name, sc.Spec)
-	default:
+	if sc.Grid == nil {
 		m, err := Run(sc.Spec, seed)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Scenario: sc, Labels: []string{sc.Spec.Name}, Runs: []*Metrics{m}, Best: 0}, nil
 	}
-	sr, err := RunSweep(grid, seed, 0)
+	sr, err := RunSweep(*sc.Grid, seed, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -346,18 +346,21 @@ func TestParseSelector(t *testing.T) {
 	}
 }
 
-// TestSLOSweepGridEquivalence pins the SLOSweep alias to the engine: a
-// scenario threshold sweep must return exactly what direct runs at each
-// fixed threshold return, with the legacy labels, and choose the
-// cheapest feasible point.
+// TestSLOSweepGridEquivalence pins a grid scenario's threshold sweep to
+// direct runs: it must return exactly what direct runs at each fixed
+// threshold return, with the threshold labels, and choose the cheapest
+// feasible point.
 func TestSLOSweepGridEquivalence(t *testing.T) {
+	thresholds := []float64{10, 120, 900}
 	sc := Scenario{
 		Name: "grid-equiv",
 		Spec: testSpec(),
-		Sweep: &SLOSweep{
-			Thresholds: []float64{10, 120, 900},
-			MaxP95:     1e9,
-		},
+	}
+	sc.Grid = &Sweep{
+		Name:   sc.Name,
+		Base:   sc.Spec,
+		Axes:   []Axis{{Kind: AxisSpinThreshold, Values: thresholds}},
+		Select: Selector{Kind: SelectMinEnergySLO, MaxP95: 1e9},
 	}
 	res, err := runScenario(sc, 5)
 	if err != nil {
@@ -366,7 +369,7 @@ func TestSLOSweepGridEquivalence(t *testing.T) {
 	if len(res.Runs) != 3 {
 		t.Fatalf("sweep ran %d points, want 3", len(res.Runs))
 	}
-	for i, th := range sc.Sweep.Thresholds {
+	for i, th := range thresholds {
 		if want := fmt.Sprintf("threshold=%gs", th); res.Labels[i] != want {
 			t.Errorf("label %d = %q, want %q", i, res.Labels[i], want)
 		}

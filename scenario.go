@@ -32,8 +32,6 @@ type (
 	FarmScenario = farm.Scenario
 	// FarmScenarioResult is the outcome of RunScenario.
 	FarmScenarioResult = farm.Result
-	// FarmSLOSweep turns a scenario into an operating-point search.
-	FarmSLOSweep = farm.SLOSweep
 	// FarmSweep declares a parallel grid of scenarios: a base spec plus
 	// one axis per varied dimension and a selection rule.
 	FarmSweep = farm.Sweep
@@ -137,8 +135,8 @@ func RegisterScenario(sc FarmScenario) { farm.Register(sc) }
 // FarmScenarios lists the catalogue sorted by name.
 func FarmScenarios() []FarmScenario { return farm.Scenarios() }
 
-// RunScenario executes a catalogued scenario by name; sweeps run once
-// per threshold and select an operating point.
+// RunScenario executes a catalogued scenario by name; grid scenarios
+// run every point and select an operating point.
 func RunScenario(name string, seed int64) (*FarmScenarioResult, error) {
 	return farm.RunScenario(name, seed)
 }
