@@ -544,13 +544,30 @@ func (c *cli) loadTrace() (farm.File, error) {
 	}}, nil
 }
 
+// replacedFlag maps each -sweep axis kind to the -trace spec flag it
+// replaces at every point, so setting both would drop the flag
+// silently.
+var replacedFlag = map[farm.AxisKind]string{
+	farm.AxisSpinThreshold: "threshold",
+	farm.AxisCapL:          "L",
+	farm.AxisCacheBytes:    "cache",
+	farm.AxisFarmSize:      "disks",
+	farm.AxisAllocKind:     "algo",
+	farm.AxisPackV:         "algo",
+}
+
 // override applies the override flags to a loaded document, in one
 // place: -control/-epoch/-budget and -cycle-cap rewrite a single Spec's
 // policy, -sweep axes then make or extend the grid, -select replaces
 // its selector, and -afr-budget upgrades an SLO selector to the
 // SLO-and-AFR kind. A grid fixes each point's policy, so the policy
-// overrides refuse one.
+// overrides refuse one, and an axis refuses the flag it replaces.
 func (c *cli) override(doc farm.File) (farm.File, error) {
+	for _, a := range c.axes {
+		if f := replacedFlag[a.Kind]; f != "" && c.isSet(f) && !c.algoKeepsEffect(a.Kind) {
+			return doc, fmt.Errorf("-%s has no effect: the %s axis sets it at every point", f, a.Kind)
+		}
+	}
 	controlFlags := c.controlName != "" || c.isSet("epoch") || c.isSet("budget")
 	switch {
 	case doc.Sweep != nil && controlFlags:
@@ -597,6 +614,21 @@ func (c *cli) override(doc farm.File) (farm.File, error) {
 		doc.Sweep.Select.MaxAFR = c.afrBudget
 	}
 	return doc, nil
+}
+
+// algoKeepsEffect reports whether -algo sets a field that an axis of
+// kind k leaves alone, so the flag that axis replaces still has an
+// effect: -algo random spreads files over -disks, which the farm axis
+// does not resize, and an alloc axis sets only the allocation kind,
+// keeping random's spread and pack4's group size.
+func (c *cli) algoKeepsEffect(k farm.AxisKind) bool {
+	switch k {
+	case farm.AxisFarmSize:
+		return c.algo == "random"
+	case farm.AxisAllocKind:
+		return c.algo == "random" || c.algo == "pack4"
+	}
+	return false
 }
 
 // overrideControl folds -control/-epoch/-budget into a spec: "static"

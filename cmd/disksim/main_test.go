@@ -237,10 +237,27 @@ func TestShardFlagConflicts(t *testing.T) {
 		{"-scenario", "paper-synth", "-trace", tr}, // two inputs: one would silently win
 		{"-spec", spec, "-scenario", "paper-synth"},
 		{"-spec", spec, "-trace", tr},
+		{"-trace", tr, "-sweep", "threshold=30,600", "-threshold", "900"}, // each axis replaces its flag at every point
+		{"-trace", tr, "-sweep", "L=0.5,0.7", "-L", "0.3"},
+		{"-trace", tr, "-sweep", "cache=0,1e9", "-cache", "16e9"},
+		{"-trace", tr, "-sweep", "farm=40,80", "-disks", "200"},
+		{"-trace", tr, "-sweep", "alloc=pack,random", "-algo", "ffd"},
+		{"-trace", tr, "-sweep", "v=2,4", "-algo", "ffd"},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want conflict error", args)
+		}
+	}
+	// The same axes run without the flag they replace, and with a flag
+	// that keeps an effect beside them.
+	for _, args := range [][]string{
+		{"-trace", tr, "-sweep", "threshold=30,600"},
+		{"-trace", tr, "-sweep", "farm=40,80", "-disks", "20", "-algo", "random"},
+		{"-trace", tr, "-sweep", "alloc=packv,pack", "-algo", "pack4"},
+	} {
+		if err := run(args, io.Discard); err != nil {
+			t.Errorf("run(%v): %v", args, err)
 		}
 	}
 	if err := run([]string{"-merge", dir}, io.Discard); err == nil ||

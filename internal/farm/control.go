@@ -18,7 +18,7 @@ import (
 // live file→disk map between windows. internal/control builds its
 // controllers on this seam; nothing here decides anything.
 
-// Window is one epoch's telemetry snapshot (see storage.Window for the
+// Window is one epoch's telemetry snapshot (see obs.Window for the
 // schema: per-group arrivals, response quantiles, energy, spin
 // transitions, idle-gap histogram).
 type Window = storage.Window

@@ -69,12 +69,7 @@ func OpenPointJournal(path string, sweep Sweep, seed int64) (*PointJournal, []Sh
 		return nil, nil, err
 	}
 	if end == 0 {
-		header, err := json.Marshal(journalHeader{Seed: seed, Sweep: sweep})
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := j.appendLine(header); err != nil {
+		if err := j.appendLine(journalHeader{Seed: seed, Sweep: sweep}); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -102,73 +97,61 @@ func SyncParentDir(path string) error {
 	return d.Sync()
 }
 
-// recover reads the journal's complete lines, validating the header and
-// collecting the journaled points. It returns the byte offset after the
-// last complete line — everything beyond it is a torn append.
+// recover reads the journal's complete lines (obs.SplitLines),
+// validating the header and collecting the journaled points. It returns
+// the byte offset after the last complete line — everything beyond it
+// is a torn append.
 func (j *PointJournal) recover(sweep Sweep, seed int64) ([]ShardPointResult, int64, error) {
 	data, err := os.ReadFile(j.path)
 	if err != nil {
 		return nil, 0, err
 	}
+	lines, end := obs.SplitLines(data)
+	if len(lines) == 0 {
+		return nil, 0, nil
+	}
+	var h journalHeader
+	if err := json.Unmarshal(lines[0], &h); err != nil {
+		return nil, 0, fmt.Errorf("farm: journal %s header: %w — delete it to start over", j.path, err)
+	}
 	wantSweep, err := json.Marshal(sweep)
 	if err != nil {
 		return nil, 0, err
 	}
+	gotSweep, err := json.Marshal(h.Sweep)
+	if err != nil {
+		return nil, 0, err
+	}
+	if h.Seed != seed || !bytes.Equal(gotSweep, wantSweep) {
+		return nil, 0, fmt.Errorf("farm: journal %s was written for a different sweep or seed — delete it to start over", j.path)
+	}
 	var points []ShardPointResult
 	seen := make(map[int]bool)
-	var end int64
-	first := true
-	for {
-		nl := bytes.IndexByte(data[end:], '\n')
-		if nl < 0 {
-			break
+	for _, line := range lines[1:] {
+		// Span envelopes are observability sidecars; results never
+		// carry a Span key, so the probe cannot misfire.
+		var env spanEnvelope
+		if err := json.Unmarshal(line, &env); err == nil && env.Span != nil {
+			continue
 		}
-		line := data[end : end+int64(nl)]
-		if first {
-			var h journalHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, 0, fmt.Errorf("farm: journal %s header: %w — delete it to start over", j.path, err)
-			}
-			gotSweep, err := json.Marshal(h.Sweep)
-			if err != nil {
-				return nil, 0, err
-			}
-			if h.Seed != seed || !bytes.Equal(gotSweep, wantSweep) {
-				return nil, 0, fmt.Errorf("farm: journal %s was written for a different sweep or seed — delete it to start over", j.path)
-			}
-			first = false
-		} else {
-			// Span envelopes are observability sidecars; results never
-			// carry a Span key, so the probe cannot misfire.
-			var env spanEnvelope
-			if err := json.Unmarshal(line, &env); err == nil && env.Span != nil {
-				end += int64(nl) + 1
-				continue
-			}
-			var pr ShardPointResult
-			if err := json.Unmarshal(line, &pr); err != nil {
-				// A complete line that does not decode is corruption, not
-				// a torn append (each append writes its newline last).
-				return nil, 0, fmt.Errorf("farm: journal %s is corrupt: %w — delete it to start over", j.path, err)
-			}
-			if !seen[pr.Index] {
-				seen[pr.Index] = true
-				points = append(points, pr)
-			}
+		var pr ShardPointResult
+		if err := json.Unmarshal(line, &pr); err != nil {
+			// A complete line that does not decode is corruption, not
+			// a torn append (each append writes its newline last).
+			return nil, 0, fmt.Errorf("farm: journal %s is corrupt: %w — delete it to start over", j.path, err)
 		}
-		end += int64(nl) + 1
+		if !seen[pr.Index] {
+			seen[pr.Index] = true
+			points = append(points, pr)
+		}
 	}
-	return points, end, nil
+	return points, int64(end), nil
 }
 
 // Append journals one completed point and syncs it to disk before
 // returning, so an acknowledged point survives any subsequent crash.
 func (j *PointJournal) Append(pr ShardPointResult) error {
-	line, err := json.Marshal(pr)
-	if err != nil {
-		return err
-	}
-	return j.appendLine(line)
+	return j.appendLine(pr)
 }
 
 // spanEnvelope wraps a span so a journal line carrying one is
@@ -182,16 +165,12 @@ type spanEnvelope struct {
 // they exist so a coordinator journal doubles as an autopsy of which
 // worker ran which point when, next to the results themselves.
 func (j *PointJournal) AppendSpan(sp obs.Span) error {
-	line, err := json.Marshal(spanEnvelope{Span: &sp})
-	if err != nil {
-		return err
-	}
-	return j.appendLine(line)
+	return j.appendLine(spanEnvelope{Span: &sp})
 }
 
-// appendLine writes one line and syncs.
-func (j *PointJournal) appendLine(line []byte) error {
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
+// appendLine writes v as one line (obs.WriteLine) and syncs.
+func (j *PointJournal) appendLine(v any) error {
+	if err := obs.WriteLine(j.f, v); err != nil {
 		return fmt.Errorf("farm: journal %s: %w", j.path, err)
 	}
 	if err := j.f.Sync(); err != nil {

@@ -261,12 +261,19 @@ func TestPointJournal(t *testing.T) {
 		t.Errorf("wrong-sweep journal accepted: %v", err)
 	}
 
-	// A complete-but-undecodable line is corruption, not a torn append.
-	if err := os.WriteFile(path, []byte("not json\n"), 0o644); err != nil {
+	// A complete-but-undecodable line is corruption, not a torn append:
+	// an undecodable header, or an empty line after a valid journal.
+	valid, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenPointJournal(path, sweep, 9); err == nil || !strings.Contains(err.Error(), "delete it") {
-		t.Errorf("corrupt journal accepted: %v", err)
+	for _, data := range []string{"not json\n", string(valid) + "\n"} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenPointJournal(path, sweep, 9); err == nil || !strings.Contains(err.Error(), "delete it") {
+			t.Errorf("corrupt journal accepted: %v", err)
+		}
 	}
 }
 

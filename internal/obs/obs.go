@@ -1,11 +1,12 @@
 // Package obs is the simulator's observability substrate: a
 // lightweight metrics registry (counters, gauges, exact histograms)
 // with Prometheus text-format exposition, a state-timeline trace
-// recorder that renders Chrome-trace/Perfetto JSON, and a
-// schema-versioned JSONL telemetry stream. Everything here is
-// observation-only plumbing — producers (storage, disk, control,
-// coord, the CLIs) publish into it, and nothing in this package feeds
-// back into a simulation.
+// recorder that renders Chrome-trace/Perfetto JSON, a
+// schema-versioned JSONL telemetry stream, and the one JSONL framing
+// that stream, the span logs and farm's point journal share.
+// Everything here is observation-only plumbing — producers (storage,
+// disk, control, coord, the CLIs) publish into it, and nothing in this
+// package feeds back into a simulation.
 //
 // Two properties shape the API. First, the disabled path is free:
 // every mutating method is safe on a nil receiver and the nil path

@@ -130,7 +130,7 @@ func TestNilSinkZeroAlloc(t *testing.T) {
 	var rec *TraceRecorder
 	var tw *TelemetryWriter
 	var o *RunObserver
-	var win TelemetryWindow
+	var win Window
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
@@ -256,7 +256,7 @@ func TestChromeTraceOutput(t *testing.T) {
 	}
 }
 
-func sampleTelemetry() (TelemetryHeader, []TelemetryWindow) {
+func sampleTelemetry() (TelemetryHeader, []Window) {
 	h := TelemetryHeader{
 		Spec:           "golden",
 		Seed:           7,
@@ -264,20 +264,20 @@ func sampleTelemetry() (TelemetryHeader, []TelemetryWindow) {
 		IdleGapBuckets: []float64{1, 10, 100},
 		RespBuckets:    []float64{0.5, 5},
 	}
-	ws := []TelemetryWindow{
+	ws := []Window{
 		{
 			Index: 0, Start: 0, End: 1800,
-			Total: TelemetryGroup{
+			Total: GroupWindow{
 				Group: -1, Disks: 4, Arrivals: 20, Completed: 18,
 				RespMean: 1.25, RespP50: 0.8, RespP95: 4.5, RespP99: 6, RespMax: 7.5,
 				Energy: 5400, SpinUps: 3, SpinDowns: 2, StandbyTime: 1200,
 				IdleGaps: []int64{5, 2, 1, 0}, RespHist: []int64{10, 7, 1},
 			},
-			Groups: []TelemetryGroup{{Group: 0, Disks: 4, Arrivals: 20, Completed: 18, Threshold: 30}},
+			Groups: []GroupWindow{{Group: 0, Disks: 4, Arrivals: 20, Completed: 18, Threshold: 30}},
 		},
 		{
 			Index: 1, Start: 1800, End: 3600, Final: true,
-			Total:     TelemetryGroup{Group: -1, Disks: 4, Arrivals: 5, Completed: 7},
+			Total:     GroupWindow{Group: -1, Disks: 4, Arrivals: 5, Completed: 7},
 			CacheHits: 3, CacheMisses: 2,
 			MigratedFiles: 4, MigratedBytes: 1 << 20, MigrationEnergy: 88.5,
 			Failures: 1, DataLossEvents: 0, Rebuilds: 1, RebuildTime: 420,
@@ -309,7 +309,7 @@ func TestTelemetryGoldenRoundTrip(t *testing.T) {
 	if err := tw.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := tw.WriteWindow(&TelemetryWindow{}); err == nil {
+	if err := tw.WriteWindow(&Window{}); err == nil {
 		t.Error("write after Close succeeded")
 	}
 

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -25,11 +22,11 @@ import (
 // the same sweep produce merge output that differs only in the ts/dur
 // numbers, never in structure.
 //
-// A SpanRecorder writes each record with a single Write call and no
-// buffering layer, so a SIGKILLed process tears at most the final
-// line; ReadSpans tolerates exactly that (an unterminated final line
-// is dropped, anything else malformed is an error). Close ends every
-// still-open span with SpanAborted — the SIGINT flush guarantee.
+// A SpanRecorder writes each record with WriteLine — one Write call,
+// no buffering layer — so a SIGKILLed process tears at most the final
+// line, and ReadSpans applies the shared torn-tail rule (see
+// SplitLines). Close ends every still-open span with SpanAborted — the
+// SIGINT flush guarantee.
 
 // SpanSchema identifies the span-log format in the header line.
 const SpanSchema = "diskpack-spans"
@@ -77,6 +74,8 @@ type SpanHeader struct {
 	// are wall-clock seconds since this instant.
 	StartUnixNano int64
 }
+
+func (h *SpanHeader) identity() (string, int) { return h.Schema, h.Version }
 
 // Span is one JSONL record: a phase of work on one sweep point (or a
 // run-level phase, Point -1) on one track.
@@ -211,7 +210,7 @@ func (r *SpanRecorder) Start(h SpanHeader) error {
 	r.hash = h.SweepHash
 	r.t0 = time.Unix(0, h.StartUnixNano)
 	r.started = true
-	return r.writeLineLocked(&h)
+	return WriteLine(r.w, &h)
 }
 
 // Since converts a wall-clock instant to seconds since the header's
@@ -293,7 +292,7 @@ func (h *SpanHandle) End(status string, args map[string]any) {
 		}
 		sp.Args = merged
 	}
-	if err := r.writeLineLocked(&sp); err != nil && r.err == nil {
+	if err := WriteLine(r.w, &sp); err != nil && r.err == nil {
 		r.err = err
 	}
 }
@@ -314,7 +313,7 @@ func (r *SpanRecorder) Record(sp Span) error {
 	if sp.ID == "" {
 		sp.ID = SpanID(r.hash, sp.Point, sp.Attempt, sp.Phase)
 	}
-	err := r.writeLineLocked(&sp)
+	err := WriteLine(r.w, &sp)
 	if err != nil && r.err == nil {
 		r.err = err
 	}
@@ -343,7 +342,7 @@ func (r *SpanRecorder) Event(point, attempt int, phase, status string, args map[
 		End:     at,
 		Args:    args,
 	}
-	if err := r.writeLineLocked(&sp); err != nil && r.err == nil {
+	if err := WriteLine(r.w, &sp); err != nil && r.err == nil {
 		r.err = err
 	}
 }
@@ -388,7 +387,7 @@ func (r *SpanRecorder) Close() error {
 		sp := h.span
 		sp.Status = SpanAborted
 		sp.End = end
-		if err := r.writeLineLocked(&sp); err != nil && r.err == nil {
+		if err := WriteLine(r.w, &sp); err != nil && r.err == nil {
 			r.err = err
 		}
 	}
@@ -399,17 +398,6 @@ func (r *SpanRecorder) Close() error {
 			err = cerr
 		}
 	}
-	return err
-}
-
-// writeLineLocked marshals v and emits it as one line with a single
-// Write call (callers hold r.mu).
-func (r *SpanRecorder) writeLineLocked(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	_, err = r.w.Write(append(b, '\n'))
 	return err
 }
 
@@ -438,49 +426,20 @@ type SpanLog struct {
 	Spans  []Span
 }
 
+// spanFormat is the span log as readLog checks it.
+var spanFormat = logFormat{kind: "span", record: "record", schema: SpanSchema, version: SpanVersion}
+
 // ReadSpans parses a span JSONL stream, enforcing the schema name and
 // version in the header line. A final line without a terminating
 // newline is dropped — the torn tail a SIGKILLed writer leaves — but
-// any other malformed line is an error.
+// any complete line that does not decode is an error.
 func ReadSpans(r io.Reader) (*SpanLog, error) {
-	data, err := io.ReadAll(r)
+	var log SpanLog
+	spans, err := readLog[Span](r, spanFormat, &log.Header)
 	if err != nil {
 		return nil, err
 	}
-	// Only newline-terminated lines are trusted; an unterminated tail
-	// is the torn final line of a killed writer.
-	var lines [][]byte
-	for {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			break
-		}
-		lines = append(lines, data[:i])
-		data = data[i+1:]
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("obs: empty span stream")
-	}
-	var log SpanLog
-	if err := json.Unmarshal(lines[0], &log.Header); err != nil {
-		return nil, fmt.Errorf("obs: span header: %w", err)
-	}
-	if log.Header.Schema != SpanSchema {
-		return nil, fmt.Errorf("obs: span schema %q, want %q", log.Header.Schema, SpanSchema)
-	}
-	if log.Header.Version != SpanVersion {
-		return nil, fmt.Errorf("obs: span version %d, reader understands %d", log.Header.Version, SpanVersion)
-	}
-	for i, line := range lines[1:] {
-		if len(line) == 0 {
-			continue
-		}
-		var sp Span
-		if err := json.Unmarshal(line, &sp); err != nil {
-			return nil, fmt.Errorf("obs: span record %d: %w", i, err)
-		}
-		log.Spans = append(log.Spans, sp)
-	}
+	log.Spans = spans
 	return &log, nil
 }
 
@@ -537,25 +496,15 @@ func WriteSpanTrace(w io.Writer, logs []SpanLog) error {
 			t0 = l.Header.StartUnixNano
 		}
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(b)
-		return err
-	}
+	return writeChromeTrace(w, func(emit func(chromeEvent) error) error {
+		return renderSpans(merged, t0, emit)
+	})
+}
+
+// renderSpans emits merged span logs as Chrome-trace events: one
+// process, one thread per track, then every span in merged order; t0
+// is the merged origin in Unix nanoseconds.
+func renderSpans(merged []SpanLog, t0 int64, emit func(chromeEvent) error) error {
 	if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: sweepPid,
 		Args: map[string]any{"name": "sweep"}}); err != nil {
 		return err
@@ -600,8 +549,5 @@ func WriteSpanTrace(w io.Writer, logs []SpanLog) error {
 			}
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return nil
 }

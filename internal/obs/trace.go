@@ -142,6 +142,13 @@ func usec(s float64) float64 { return s * 1e6 }
 // ({"displayTimeUnit":...,"traceEvents":[...]}). Safe on a nil
 // recorder (writes an empty trace).
 func (r *TraceRecorder) WriteChromeTrace(w io.Writer) error {
+	return writeChromeTrace(w, r.render)
+}
+
+// writeChromeTrace writes the Chrome-trace container — the run trace
+// and the sweep-span trace alike — around the events render emits,
+// marshalling one chromeEvent per event.
+func writeChromeTrace(w io.Writer, render func(emit func(chromeEvent) error) error) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -161,10 +168,8 @@ func (r *TraceRecorder) WriteChromeTrace(w io.Writer) error {
 		_, err = bw.Write(b)
 		return err
 	}
-	if r != nil {
-		if err := r.render(emit); err != nil {
-			return err
-		}
+	if err := render(emit); err != nil {
+		return err
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {
 		return err
@@ -174,8 +179,11 @@ func (r *TraceRecorder) WriteChromeTrace(w io.Writer) error {
 
 // render walks the recording in deterministic order: metadata, then
 // per-disk span timelines in disk-ID order, then run-level events in
-// append order.
+// append order. A nil recorder emits nothing.
 func (r *TraceRecorder) render(emit func(chromeEvent) error) error {
+	if r == nil {
+		return nil
+	}
 	meta := func(pid, tid int, kind, name string) error {
 		return emit(chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": name}})

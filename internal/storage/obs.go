@@ -98,11 +98,10 @@ func (r *runner) observeWindow(w *Window) error {
 			},
 		})
 	}
-	if tw := o.Telemetry; tw != nil {
-		tw2 := telemetryWindow(w)
-		if err := tw.WriteWindow(&tw2); err != nil {
-			return fmt.Errorf("storage: telemetry: %w", err)
-		}
+	// WriteWindow marshals before it returns, so the live
+	// double-buffered window needs no copy.
+	if err := o.Telemetry.WriteWindow(w); err != nil {
+		return fmt.Errorf("storage: telemetry: %w", err)
 	}
 	return nil
 }
@@ -144,52 +143,4 @@ func (r *runner) observeFinal(res *Results, horizon float64) {
 		m.StandbyDisks.Set(res.AvgStandbyDisks)
 		m.RespP95.Set(res.RespP95)
 	}
-}
-
-// telemetryGroup converts one group row to its JSONL record (cloning
-// the histograms — the window buffers are reused).
-func telemetryGroup(g *GroupWindow) obs.TelemetryGroup {
-	return obs.TelemetryGroup{
-		Group:       g.Group,
-		Disks:       g.Disks,
-		Arrivals:    g.Arrivals,
-		Completed:   g.Completed,
-		RespMean:    g.RespMean,
-		RespP50:     g.RespP50,
-		RespP95:     g.RespP95,
-		RespP99:     g.RespP99,
-		RespMax:     g.RespMax,
-		Energy:      g.Energy,
-		SpinUps:     g.SpinUps,
-		SpinDowns:   g.SpinDowns,
-		StandbyTime: g.StandbyTime,
-		Threshold:   g.Threshold,
-		IdleGaps:    append([]int64(nil), g.IdleGaps...),
-		RespHist:    append([]int64(nil), g.RespHist...),
-	}
-}
-
-// telemetryWindow converts one Window to its JSONL record.
-func telemetryWindow(w *Window) obs.TelemetryWindow {
-	tw := obs.TelemetryWindow{
-		Index:           w.Index,
-		Start:           w.Start,
-		End:             w.End,
-		Final:           w.Final,
-		Total:           telemetryGroup(&w.Total),
-		Groups:          make([]obs.TelemetryGroup, len(w.Groups)),
-		CacheHits:       w.CacheHits,
-		CacheMisses:     w.CacheMisses,
-		MigrationEnergy: w.MigrationEnergy,
-		MigratedFiles:   w.MigratedFiles,
-		MigratedBytes:   w.MigratedBytes,
-		Failures:        w.Failures,
-		DataLossEvents:  w.DataLossEvents,
-		Rebuilds:        w.Rebuilds,
-		RebuildTime:     w.RebuildTime,
-	}
-	for g := range w.Groups {
-		tw.Groups[g] = telemetryGroup(&w.Groups[g])
-	}
-	return tw
 }

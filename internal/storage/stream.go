@@ -22,7 +22,7 @@ import (
 // (mid-run reallocation; spin thresholds actuate through the policy
 // objects the caller owns), which is the decide→actuate half.
 //
-// This file holds the telemetry schema and the per-shard machinery —
+// This file holds the histogram layouts and the per-shard machinery —
 // one machine per shard, each with its own sim.Env, disks, and window
 // accumulator. The runner that owns the shared state (placement map,
 // migration ledger, window assembly) and coordinates shards lives in
@@ -72,89 +72,13 @@ func respBucket(rt float64) int {
 	return len(respBounds)
 }
 
-// GroupWindow is one disk group's share of a telemetry window.
-type GroupWindow struct {
-	// Group is the group index (-1 for the farm-wide total).
-	Group int
-	// Disks is the number of drives in the group.
-	Disks int
-	// Arrivals counts requests dispatched toward the group's disks
-	// during the window (cache hits included — the request targeted the
-	// group even if the cache absorbed it).
-	Arrivals int64
-	// Completed counts requests finished during the window (cache hits
-	// included, at zero response time).
-	Completed int64
-	// Response-time distribution over the window's completions, seconds.
-	RespMean, RespP50, RespP95, RespP99, RespMax float64
-	// Energy is the group's consumption during the window, joules.
-	Energy float64
-	// Spin transitions during the window.
-	SpinUps, SpinDowns int
-	// StandbyTime is disk-seconds spent in standby during the window.
-	StandbyTime float64
-	// IdleGaps is the histogram of idle-gap lengths closed during the
-	// window (a gap is closed by the arrival ending it); bucket bounds
-	// are IdleGapBuckets, plus one overflow bucket.
-	IdleGaps []int64
-	// RespHist is the histogram of the window's completion response
-	// times; bucket bounds are RespBuckets, plus one overflow bucket.
-	// Quantiles interpolate; the histogram counts exactly — a
-	// tail-budget controller reads "completions over budget" off it.
-	RespHist []int64
-	// Threshold is the group's spin-down threshold at the window
-	// boundary, filled by the farm layer for tunable groups (zero
-	// otherwise — storage does not know the policies' internals).
-	Threshold float64
-}
+// Window is one epoch's telemetry snapshot, declared once as the
+// telemetry stream's record (see obs.Window for the columns and the
+// double-buffering rule).
+type Window = obs.Window
 
-// Window is one epoch's telemetry snapshot. Snapshots are
-// double-buffered: the Window passed to an observer is valid until the
-// next-but-one window boundary, after which its storage is reused. An
-// observer that only reads within its OnWindow call needs nothing
-// special; one that retains windows across epochs must Clone them.
-type Window struct {
-	// Index numbers windows from zero.
-	Index int
-	// Start and End bound the window in simulated seconds.
-	Start, End float64
-	// Final marks the window that reaches the horizon.
-	Final bool
-	// Groups holds one entry per disk group.
-	Groups []GroupWindow
-	// Total is the farm-wide aggregate (Group = -1).
-	Total GroupWindow
-	// Cache activity during the window (zero without a cache).
-	CacheHits, CacheMisses int64
-	// Migration accounting for reallocations actuated since the
-	// previous window.
-	MigrationEnergy float64
-	MigratedFiles   int64
-	MigratedBytes   int64
-	// Reliability accounting since the previous window (zero without
-	// Config.Reliability): disk failures detected, failures that struck
-	// an already-degraded group, rebuilds completed, and degraded time
-	// booked by those completions.
-	Failures       int
-	DataLossEvents int
-	Rebuilds       int
-	RebuildTime    float64
-}
-
-// Clone returns a deep copy of the window that shares no storage with
-// the double-buffered snapshot, safe to retain indefinitely.
-func (w *Window) Clone() *Window {
-	c := *w
-	c.Groups = make([]GroupWindow, len(w.Groups))
-	copy(c.Groups, w.Groups)
-	for g := range c.Groups {
-		c.Groups[g].IdleGaps = append([]int64(nil), w.Groups[g].IdleGaps...)
-		c.Groups[g].RespHist = append([]int64(nil), w.Groups[g].RespHist...)
-	}
-	c.Total.IdleGaps = append([]int64(nil), w.Total.IdleGaps...)
-	c.Total.RespHist = append([]int64(nil), w.Total.RespHist...)
-	return &c
-}
+// GroupWindow is one disk group's share of a Window.
+type GroupWindow = obs.GroupWindow
 
 // StreamConfig parameterizes a windowed run.
 type StreamConfig struct {
