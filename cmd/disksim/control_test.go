@@ -17,6 +17,7 @@ func TestControlledRunDeterministicOutput(t *testing.T) {
 	}{
 		{[]string{"-scenario", "controlled-bursty", "-control", "tail-budget", "-seed", "3"}, "tail-budget"},
 		{[]string{"-scenario", "controlled-bursty", "-control", "rate-respec", "-epoch", "500", "-seed", "7"}, "rate-respec"},
+		{[]string{"-scenario", "controlled-bursty", "-control", "reorg-adaptive", "-epoch", "500", "-seed", "7", "-v"}, "reorg-adaptive"},
 	} {
 		var a, b bytes.Buffer
 		if err := run(tc.args, &a); err != nil {

@@ -99,7 +99,7 @@ func (a *axisFlags) Set(s string) error {
 
 // gridUsage is appended to every -sweep/-select parse failure so a typo
 // always surfaces the full vocabulary, whatever path it took in.
-const gridUsage = `sweep axes (repeatable, -sweep dim=v1,v2,...):
+var gridUsage = `sweep axes (repeatable, -sweep dim=v1,v2,...):
   threshold  spin-down idleness threshold, seconds
   farm       farm size, disks
   cache      front LRU cache, bytes
@@ -108,7 +108,7 @@ const gridUsage = `sweep axes (repeatable, -sweep dim=v1,v2,...):
   rate       workload intensity, requests/s
   alloc      allocation strategy: pack, packv, random, firstfit, ffd, bestfit, chp
   seed       seed offset for independent replications
-  control    online controller: tail-budget, rate-respec, static (base needs -control or a controlled scenario)
+  control    online controller: ` + control.KindList() + `, static (base needs -control or a controlled scenario)
 selectors (-select): none, knee, pareto, slo=SECONDS[,afr=RATE]`
 
 func main() {
@@ -184,7 +184,7 @@ func (c *cli) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.token, "token", "", "shared secret for -serve/-work: workers must present it, mismatches get 401")
 	fs.StringVar(&c.obsOut, "obs-out", "", "write this process's span log (JSONL) to FILE; for -serve, -work, and -run-shard (name them *.spans.jsonl and fold with -merge-trace)")
 	fs.StringVar(&c.mergeTrace, "merge-trace", "", "fold the *.spans.jsonl span logs under DIR into one Chrome-trace JSON (to -trace-out FILE, default stdout; load in Perfetto)")
-	fs.StringVar(&c.controlName, "control", "", "run closed-loop under an online controller: tail-budget, rate-respec, or static to strip a scenario's controller")
+	fs.StringVar(&c.controlName, "control", "", "run closed-loop under an online controller: "+control.KindList()+", or static to strip a scenario's controller")
 	fs.Float64Var(&c.epochF, "epoch", 0, "telemetry window length in seconds for -control (default: the scenario's, or 1800)")
 	fs.Float64Var(&c.budgetF, "budget", 0, "p95 response-time budget in seconds for -control tail-budget (default: the scenario's, or 20)")
 	fs.Float64Var(&c.afrBudget, "afr-budget", 0, "annual-failure-rate budget in (0,1): upgrades an slo= selector to min-energy-under-SLO-and-AFR")
@@ -656,7 +656,7 @@ func (c *cli) overrideControl(spec *farm.Spec) error {
 		cs.BudgetP95 = c.budgetF
 	}
 	if cs.Controller == "" {
-		return fmt.Errorf("-epoch/-budget need -control NAME (or a controlled scenario); controllers: tail-budget, rate-respec")
+		return fmt.Errorf("-epoch/-budget need -control NAME (or a controlled scenario); controllers: %s", control.KindList())
 	}
 	if _, err := control.ParseKind(cs.Controller); err != nil {
 		return err

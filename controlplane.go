@@ -8,8 +8,10 @@ import (
 // This file exports the online control plane (internal/control + the
 // telemetry seam in internal/farm): run any FarmSpec closed-loop —
 // windowed telemetry feeding a deterministic controller that retunes
-// spin thresholds (tail-budget) or re-plans the allocation against the
-// observed rate (rate-respec) at epoch boundaries. Controlled specs
+// spin thresholds (tail-budget), re-plans the allocation against the
+// observed rate (rate-respec), or reorganizes file placement from the
+// rates measured over each window (the reorg-* kinds, the paper's
+// semi-dynamic mode) at epoch boundaries. Controlled specs
 // are pure data (FarmControlSpec), so they serialize, sweep, shard,
 // and coordinate exactly like static ones; RunFarm, RunSweep, and the
 // coordinator all execute them through the same registered runner.
@@ -24,9 +26,6 @@ type (
 	ControlGroupWindow = farm.GroupWindow
 	// ControllerKind enumerates the built-in controllers.
 	ControllerKind = control.Kind
-	// Controller observes windows and returns actions; implement it to
-	// plug a custom policy into RunControlledStream.
-	Controller = control.Controller
 	// ControlAction is one actuation a controller requests.
 	ControlAction = control.Action
 	// ControlResult is a completed controlled run: metrics, windows,
@@ -43,8 +42,22 @@ type (
 
 // Controller kinds.
 const (
+	// ControllerTailBudget retunes each group's spin-down threshold
+	// against the p95 budget.
 	ControllerTailBudget = control.KindTailBudget
+	// ControllerRateRespec re-plans the allocation when the observed
+	// arrival rate drifts from the planned one.
 	ControllerRateRespec = control.KindRateRespec
+	// ControllerReorgFull repacks every file at the rates measured over
+	// each window (the paper's Section 1 semi-dynamic mode).
+	ControllerReorgFull = control.KindReorgFull
+	// ControllerReorgIncremental migrates only the files whose measured
+	// rate deviates from the placement-time estimate (Section 6).
+	ControllerReorgIncremental = control.KindReorgIncremental
+	// ControllerReorgAdaptive adopts, each window, whichever of keep,
+	// incremental and full repack a what-if replay of the window plus
+	// the migration bill scores cheapest.
+	ControllerReorgAdaptive = control.KindReorgAdaptive
 )
 
 // Controller axis kind for sweeps (grid positions are controller
@@ -55,7 +68,7 @@ const AxisController = farm.AxisController
 const AxisExplicitAlloc = farm.AxisExplicitAlloc
 
 // ParseControllerKind resolves a controller name ("tail-budget",
-// "rate-respec").
+// "rate-respec", "reorg-full", "reorg-incremental", "reorg-adaptive").
 func ParseControllerKind(s string) (ControllerKind, error) { return control.ParseKind(s) }
 
 // RunControlled executes a controlled spec (Spec.Control != nil): one

@@ -4,14 +4,14 @@ import (
 	"diskpack/internal/disk"
 	"diskpack/internal/model"
 	"diskpack/internal/policy"
-	"diskpack/internal/reorg"
 	"diskpack/internal/trace"
 )
 
 // This file exports the extension subsystems built on the paper's
 // related-work and future-work sections: dynamic power-management
-// policies (Section 2), the analytic M/G/1 model behind the load
-// constraint, and semi-dynamic reorganization (Sections 1 and 6).
+// policies (Section 2) and the analytic M/G/1 model behind the load
+// constraint. Semi-dynamic reorganization (Sections 1 and 6) runs on
+// the control plane: see ControllerReorgFull and its siblings.
 
 // Spin-down policy types (see internal/policy).
 type (
@@ -66,20 +66,4 @@ func PredictFarm(loads []DiskQueue, params DiskParams, threshold float64) FarmPr
 // behind the paper's Figure 4.
 func LoadConstraintForResponse(budget, meanService, secondMomentService float64) float64 {
 	return model.LoadConstraintForResponse(budget, meanService, secondMomentService)
-}
-
-// Reorganization types (see internal/reorg).
-type (
-	// ReorgConfig parameterizes semi-dynamic operation.
-	ReorgConfig = reorg.Config
-	// ReorgResult aggregates a multi-epoch run.
-	ReorgResult = reorg.Result
-)
-
-// RunSemiDynamic splits the trace into epochs, reorganizing the
-// allocation between them from measured access statistics (the paper's
-// Section 1 semi-dynamic mode; set Incremental for the Section 6
-// deviation-triggered migration rule).
-func RunSemiDynamic(tr *Trace, cfg ReorgConfig) (*ReorgResult, error) {
-	return reorg.Run(tr, cfg)
 }

@@ -18,8 +18,14 @@
 //     re-plans the packing at the observed rate, and migrates the
 //     difference — consolidating onto fewer spindles when load falls,
 //     spreading out before the tail degrades when it rises.
+//   - Reorg is the paper's semi-dynamic mode (Section 1): at every
+//     window boundary it measures each file's rate over the window just
+//     closed and re-places files by it — a full repack (reorg-full),
+//     the Section 6 rule that migrates only rate-deviant files
+//     (reorg-incremental), or whichever of keep, incremental and full
+//     a what-if replay of the window scores cheapest (reorg-adaptive).
 //
-// Controllers are deterministic functions of the windows they observe,
+// Controllers are deterministic functions of what they observe,
 // so a controlled run stays a pure function of (spec, seed,
 // controller): byte-identical across repeats, worker counts, shards,
 // and coordinator pools. The package registers itself as farm's
@@ -31,6 +37,7 @@ package control
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"diskpack/internal/disk"
 	"diskpack/internal/farm"
@@ -45,11 +52,24 @@ const (
 	KindTailBudget Kind = iota
 	// KindRateRespec re-plans the allocation against the observed rate.
 	KindRateRespec
+	// KindReorgFull repacks every file at its measured rate each
+	// window.
+	KindReorgFull
+	// KindReorgIncremental migrates only files whose measured rate
+	// deviates from the placement-time estimate (the paper's Section
+	// 6).
+	KindReorgIncremental
+	// KindReorgAdaptive adopts, each window, the cheapest of keeping
+	// the allocation, the incremental move and the full repack.
+	KindReorgAdaptive
 )
 
 var kindNames = map[Kind]string{
-	KindTailBudget: "tail-budget",
-	KindRateRespec: "rate-respec",
+	KindTailBudget:       "tail-budget",
+	KindRateRespec:       "rate-respec",
+	KindReorgFull:        "reorg-full",
+	KindReorgIncremental: "reorg-incremental",
+	KindReorgAdaptive:    "reorg-adaptive",
 }
 
 // String names the kind — the vocabulary of farm.ControlSpec.Controller
@@ -62,7 +82,19 @@ func (k Kind) String() string {
 }
 
 // Kinds lists the controller vocabulary in a stable order.
-func Kinds() []Kind { return []Kind{KindTailBudget, KindRateRespec} }
+func Kinds() []Kind {
+	return []Kind{KindTailBudget, KindRateRespec, KindReorgFull, KindReorgIncremental, KindReorgAdaptive}
+}
+
+// KindList spells the vocabulary for messages: "tail-budget,
+// rate-respec, ...".
+func KindList() string {
+	names := make([]string, 0, len(Kinds()))
+	for _, k := range Kinds() {
+		names = append(names, k.String())
+	}
+	return strings.Join(names, ", ")
+}
 
 // ParseKind resolves a controller name.
 func ParseKind(s string) (Kind, error) {
@@ -71,7 +103,7 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("control: unknown controller %q (have tail-budget, rate-respec)", s)
+	return 0, fmt.Errorf("control: unknown controller %q (have %s)", s, KindList())
 }
 
 // ActionKind enumerates what a controller can ask the actuator to do.
@@ -83,6 +115,9 @@ const (
 	// ActionRespec rewrites the live spec's workload rate and re-plans
 	// the allocation against it, migrating the difference.
 	ActionRespec
+	// ActionRealloc swaps in a file→disk map the controller proposes,
+	// migrating the difference.
+	ActionRealloc
 )
 
 // String names the action kind.
@@ -92,6 +127,8 @@ func (k ActionKind) String() string {
 		return "set-threshold"
 	case ActionRespec:
 		return "respec"
+	case ActionRealloc:
+		return "realloc"
 	default:
 		return fmt.Sprintf("ActionKind(%d)", int(k))
 	}
@@ -108,15 +145,24 @@ type Action struct {
 	// Rate is the newly planned workload rate in requests per second
 	// (ActionRespec).
 	Rate float64 `json:",omitempty"`
+	// Assign is the proposed file→disk map (ActionRealloc; nil proposes
+	// nothing). The action log records what moved, not the map.
+	Assign []int `json:"-"`
+	// Plan names where an ActionRealloc map came from ("keep",
+	// "incremental", "full-repack"), or why there is none; the log's
+	// Note carries it.
+	Plan string `json:"-"`
 }
 
 // Controller observes one closed telemetry window and returns the
-// actions to apply at its boundary. Implementations must be
-// deterministic functions of the windows observed so far — no clocks,
-// no unseeded randomness — or controlled runs lose their byte-identity
-// guarantee.
+// actions to apply at its boundary. act is the run as it stands at the
+// boundary: controllers read it (the live spec and map, the trace
+// before w.End) but actuate only through the returned actions.
+// Implementations must be deterministic functions of what they observe
+// — no clocks, no unseeded randomness — or controlled runs lose their
+// byte-identity guarantee. An error aborts the run.
 type Controller interface {
-	Observe(w *farm.Window) []Action
+	Observe(w *farm.Window, act *farm.Actuator) ([]Action, error)
 }
 
 // OutcomeObserver is optionally implemented by controllers whose state
@@ -177,6 +223,8 @@ func New(cs farm.ControlSpec, spec farm.Spec) (Controller, error) {
 			alpha = DefaultAlpha
 		}
 		return &RateRespec{Factor: factor, Alpha: alpha, planned: planned}, nil
+	case KindReorgFull, KindReorgIncremental, KindReorgAdaptive:
+		return &Reorg{kind: kind}, nil
 	default:
 		return nil, fmt.Errorf("control: kind %v has no constructor", kind)
 	}
@@ -319,7 +367,7 @@ func (c *TailBudget) pickThreshold(p disk.Params, gaps []int64, remaining, cycle
 }
 
 // Observe implements Controller.
-func (c *TailBudget) Observe(w *farm.Window) []Action {
+func (c *TailBudget) Observe(w *farm.Window, _ *farm.Actuator) ([]Action, error) {
 	if c.completed == nil {
 		c.completed = make([]int64, len(w.Groups))
 		c.over = make([]int64, len(w.Groups))
@@ -349,7 +397,7 @@ func (c *TailBudget) Observe(w *farm.Window) []Action {
 		}
 		acts = append(acts, Action{Kind: ActionSetThreshold, Group: g.Group, Threshold: t})
 	}
-	return acts
+	return acts, nil
 }
 
 // RateRespec folds observed load back into the live spec: an EWMA of
@@ -370,10 +418,10 @@ type RateRespec struct {
 }
 
 // Observe implements Controller.
-func (c *RateRespec) Observe(w *farm.Window) []Action {
+func (c *RateRespec) Observe(w *farm.Window, _ *farm.Actuator) ([]Action, error) {
 	dur := w.End - w.Start
 	if dur <= 0 {
-		return nil
+		return nil, nil
 	}
 	obs := float64(w.Total.Arrivals) / dur
 	if !c.primed {
@@ -383,7 +431,7 @@ func (c *RateRespec) Observe(w *farm.Window) []Action {
 		c.ewma = c.Alpha*obs + (1-c.Alpha)*c.ewma
 	}
 	if c.planned <= 0 {
-		return nil
+		return nil, nil
 	}
 	// A planned rate of zero would divide away; the EWMA is floored at
 	// a hundredth of the planned rate so dead-quiet stretches still
@@ -391,12 +439,12 @@ func (c *RateRespec) Observe(w *farm.Window) []Action {
 	target := math.Max(c.ewma, c.planned/100)
 	ratio := target / c.planned
 	if ratio < c.Factor && ratio > 1/c.Factor {
-		return nil
+		return nil, nil
 	}
 	// planned moves only on ActionOutcome: a skipped re-plan leaves the
 	// allocation where it was, so the drift persists and the next
 	// window retries.
-	return []Action{{Kind: ActionRespec, Rate: target}}
+	return []Action{{Kind: ActionRespec, Rate: target}}, nil
 }
 
 // ActionOutcome implements OutcomeObserver: the planned rate tracks

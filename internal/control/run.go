@@ -5,7 +5,6 @@ import (
 
 	"diskpack/internal/farm"
 	"diskpack/internal/obs"
-	"diskpack/internal/reorg"
 )
 
 // AppliedAction records one controller decision and what became of it.
@@ -20,7 +19,7 @@ type AppliedAction struct {
 	// Note explains the outcome ("threshold 26.6s", "needs 24 disks,
 	// farm has 20").
 	Note string
-	// Migration accounting of an applied respec.
+	// Migration accounting of an applied respec or realloc.
 	MovedFiles int   `json:",omitempty"`
 	MovedBytes int64 `json:",omitempty"`
 }
@@ -83,7 +82,11 @@ func RunSpec(spec farm.Spec, seed int64) (*Result, error) {
 			// only clutter the action log.
 			return nil
 		}
-		for _, a := range ctrl.Observe(w) {
+		acts, err := ctrl.Observe(w, act)
+		if err != nil {
+			return err
+		}
+		for _, a := range acts {
 			applied, err := apply(a, act)
 			if err != nil {
 				return err
@@ -145,17 +148,9 @@ func apply(a Action, act *farm.Actuator) (AppliedAction, error) {
 		out.Note = fmt.Sprintf("threshold %.3gs", t)
 		return out, nil
 	case ActionRespec:
-		if act.Spec().Alloc.Kind == farm.AllocExplicit {
-			out.Note = "explicit allocation is pinned; nothing to re-plan"
+		if why := pinned(act); why != "" {
+			out.Note = why
 			return out, nil
-		}
-		for _, d := range act.Assign() {
-			if d < 0 {
-				// The write policy owns unplaced files; a re-plan that
-				// covered them would place data that does not exist yet.
-				out.Note = "live map has unplaced files; re-plan skipped"
-				return out, nil
-			}
 		}
 		prior, err := farm.WorkloadRate(act.Spec())
 		if err != nil {
@@ -166,22 +161,19 @@ func apply(a Action, act *farm.Actuator) (AppliedAction, error) {
 			out.Note = err.Error()
 			return out, nil
 		}
-		plan, err := farm.Plan(act.Spec(), act.Seed())
+		next, disks, err := replan(act, act.Spec())
 		if err != nil {
 			return out, fmt.Errorf("control: re-planning at rate %.4g: %w", a.Rate, err)
 		}
-		if plan.DisksUsed > act.FarmSize() {
+		if next == nil {
 			// Skipped, so the live spec must keep reporting the rate the
 			// standing allocation was actually planned at.
 			if err := act.SetWorkloadRate(prior); err != nil {
 				return out, err
 			}
-			out.Note = fmt.Sprintf("plan at rate %.4g needs %d disks, farm has %d", a.Rate, plan.DisksUsed, act.FarmSize())
+			out.Note = fmt.Sprintf("plan at rate %.4g needs %d disks, farm has %d", a.Rate, disks, act.FarmSize())
 			return out, nil
 		}
-		// Relabel the fresh packing against the live one so only
-		// genuinely re-placed files migrate.
-		next := reorg.RelabelForOverlap(act.Assign(), plan.Assign, act.Files(), act.FarmSize())
 		moved, bytes, err := act.Realloc(next)
 		if err != nil {
 			return out, fmt.Errorf("control: reallocating at rate %.4g: %w", a.Rate, err)
@@ -189,7 +181,21 @@ func apply(a Action, act *farm.Actuator) (AppliedAction, error) {
 		out.Applied = true
 		out.MovedFiles = moved
 		out.MovedBytes = bytes
-		out.Note = fmt.Sprintf("replanned at %.4g req/s onto %d disks, moved %d files", a.Rate, plan.DisksUsed, moved)
+		out.Note = fmt.Sprintf("replanned at %.4g req/s onto %d disks, moved %d files", a.Rate, disks, moved)
+		return out, nil
+	case ActionRealloc:
+		if a.Assign == nil {
+			out.Note = a.Plan
+			return out, nil
+		}
+		moved, bytes, err := act.Realloc(a.Assign)
+		if err != nil {
+			return out, fmt.Errorf("control: reallocating (%s): %w", a.Plan, err)
+		}
+		out.Applied = true
+		out.MovedFiles = moved
+		out.MovedBytes = bytes
+		out.Note = fmt.Sprintf("%s, moved %d files", a.Plan, moved)
 		return out, nil
 	default:
 		return out, fmt.Errorf("control: unknown action kind %d", int(a.Kind))

@@ -127,14 +127,14 @@ func TestTailBudgetCycleBudget(t *testing.T) {
 }
 
 // controlledGrid is a small controlled sweep: the bursty base crossed
-// with a controller axis (open-loop, tail-budget, rate-respec).
+// with a controller axis (open-loop and every controller kind).
 func controlledGrid(t *testing.T) farm.Sweep {
 	t.Helper()
 	sc, ok := farm.Lookup("controlled-bursty")
 	if !ok {
 		t.Fatal("controlled-bursty not registered")
 	}
-	ax, err := farm.ParseAxis("control=static,tail-budget,rate-respec")
+	ax, err := farm.ParseAxis("control=static,tail-budget,rate-respec,reorg-full,reorg-incremental,reorg-adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +286,14 @@ func TestRateRespecOutcomeFeedback(t *testing.T) {
 	c := &RateRespec{Factor: 1.5, Alpha: 1, planned: 10}
 	w := &farm.Window{Start: 0, End: 100}
 	w.Total.Arrivals = 100 // 1 req/s — a 10× drop
-	acts := c.Observe(w)
+	acts, _ := c.Observe(w, nil)
 	if len(acts) != 1 || acts[0].Kind != ActionRespec {
 		t.Fatalf("acts = %+v", acts)
 	}
 	c.ActionOutcome(acts[0], false) // the actuator skipped it
 	w2 := *w
 	w2.Start, w2.End = 100, 200
-	if retry := c.Observe(&w2); len(retry) != 1 {
+	if retry, _ := c.Observe(&w2, nil); len(retry) != 1 {
 		t.Fatalf("skipped respec not retried: %+v", retry)
 	}
 	c.ActionOutcome(Action{Kind: ActionRespec, Rate: 1}, true)
@@ -303,7 +303,7 @@ func TestRateRespecOutcomeFeedback(t *testing.T) {
 	// Now in sync: no further action.
 	w3 := w2
 	w3.Start, w3.End = 200, 300
-	if again := c.Observe(&w3); len(again) != 0 {
+	if again, _ := c.Observe(&w3, nil); len(again) != 0 {
 		t.Errorf("in-sync controller still acts: %+v", again)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // coordinator on an ephemeral port plus `workers` in-process pull
 // workers per call. The result is byte-identical to the in-process
 // RunSweep (the coordinator's core guarantee), so the runner plugs
-// straight into seams that demand it — reorg.Config.SweepRunner uses
-// it to push adaptive mode's per-epoch candidate sweeps through the
-// elastic pool instead of the local worker pool. The per-call workers
+// straight into any caller written against RunSweep's signature — the
+// identity tests use it to drain a grid through the elastic pool and
+// diff the result against the local worker pool. The per-call workers
 // argument overrides the constructor's when positive.
 //
 // This is the one-process form; to spread one sweep across machines,

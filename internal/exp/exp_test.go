@@ -1,9 +1,16 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // testOpts shrinks the experiments to ~10% scale: fast enough for CI,
 // large enough that the paper's shape conclusions are assertable.
@@ -313,25 +320,46 @@ func TestScalingExperiment(t *testing.T) {
 	}
 }
 
+// TestRegistryRunsEverythingTiny runs every experiment at 5% scale and
+// diffs the tables, rendered as cmd/experiments prints them, against
+// testdata/all.golden. The scaling table is left out: its columns are
+// wall-clock timings. Regenerate with -update.
 func TestRegistryRunsEverythingTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	tables, err := Run("all", Options{Scale: 0.02, Seed: 2})
+	tables, err := Run("all", Options{Scale: 0.05, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	want := map[string]bool{}
-	for _, n := range Names() {
-		want[n] = true
 	}
 	if len(tables) < len(Names()) {
 		t.Fatalf("all: got %d tables want >= %d", len(tables), len(Names()))
 	}
+	var out strings.Builder
 	for _, tab := range tables {
 		if len(tab.Rows) == 0 {
 			t.Errorf("table %s is empty", tab.Name)
 		}
+		if tab.Name != "scaling" {
+			fmt.Fprintln(&out, tab.String())
+		}
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("experiments golden compared only on amd64 (GOARCH=%s: Go may fuse multiply-adds)", runtime.GOARCH)
+	}
+	path := filepath.Join("testdata", "all.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("experiment tables drifted from %s (regenerate with -update):\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 

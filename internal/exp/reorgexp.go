@@ -3,18 +3,19 @@ package exp
 import (
 	"fmt"
 
-	"diskpack/internal/reorg"
-	"diskpack/internal/storage"
+	"diskpack/internal/control"
+	"diskpack/internal/farm"
 	"diskpack/internal/workload"
 )
 
 // Reorg runs the semi-dynamic reorganization experiment of the paper's
 // Section 1: a NERSC-like workload whose hot set drifts over four
-// phases, served either by a static Pack_Disks allocation (packed for
-// phase 0), by per-epoch reorganization driven by the previous epoch's
-// measured rates, or by the adaptive mode that sweeps candidate
-// reallocations each epoch and adopts the cheapest. Columns report
-// power saving, response time, and the migration bill.
+// phases, served by a Pack_Disks allocation packed for phase 0 and,
+// one window per phase, either left alone (static) or re-placed by a
+// reorg controller from the rates measured over the window just closed.
+// The four variants are one sweep over the controller axis. Columns
+// report power saving and response time over the whole run, with the
+// migration bill charged to the saving, and the bill itself.
 func Reorg(opts Options) (*Table, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -28,51 +29,41 @@ func Reorg(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	epoch := tr.Duration / phases
-
-	type variant struct {
-		name        string
-		static      bool
-		incremental bool
-		adaptive    bool
+	base := farm.Spec{
+		Name:     "reorg",
+		Workload: farm.TraceWorkload(tr),
+		Alloc:    farm.Packed(nerscCapL),
+		Spin:     farm.SpinSpec{Kind: farm.SpinBreakEven},
+		Control:  &farm.ControlSpec{Controller: control.KindReorgFull.String(), Epoch: tr.Duration / phases},
 	}
-	variants := []variant{
-		{name: "static", static: true},
-		{name: "full-repack"},
-		{name: "incremental", incremental: true},
-		{name: "adaptive", adaptive: true},
+	plan, err := farm.Plan(base, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	// Headroom: repackings under measured rates often need a few more
+	// disks than the a-priori packing.
+	base.FarmSize = plan.DisksUsed + max(2, plan.DisksUsed/10)
+	variants := []string{"static", control.KindReorgFull.String(), control.KindReorgIncremental.String(), control.KindReorgAdaptive.String()}
+	res, err := farm.RunSweep(farm.Sweep{
+		Name: "reorg",
+		Base: base,
+		Axes: []farm.Axis{{Kind: farm.AxisController, Names: variants}},
+	}, opts.Seed, opts.workers())
+	if err != nil {
+		return nil, err
 	}
 	table := &Table{
 		Name:    "reorg",
 		Title:   fmt.Sprintf("Semi-dynamic reorganization under popularity drift (%d phases)", phases),
 		XLabel:  "variant", // 0 = static, 1 = full repack, 2 = incremental, 3 = adaptive
-		Columns: []string{"Saving", "Resp(s)", "MigratedGB", "MigrationJ", "LastEpochSaving"},
+		Columns: []string{"Saving", "Resp(s)", "MigratedGB", "MigrationJ"},
 	}
-	// Epochs chain (epoch n+1 depends on n), so variants run in
-	// sequence; the adaptive variant parallelizes internally through its
-	// per-epoch candidate sweep.
-	for i, v := range variants {
-		res, err := reorg.Run(tr, reorg.Config{
-			Epoch:         epoch,
-			CapL:          nerscCapL,
-			IdleThreshold: storage.BreakEven,
-			Static:        v.static,
-			Incremental:   v.incremental,
-			Adaptive:      v.adaptive,
-			Workers:       opts.workers(),
-			MinRate:       1e-8,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		last := res.Epochs[len(res.Epochs)-1]
-		table.AddRow(float64(i),
-			res.SavingRatio, res.RespMean,
-			float64(res.MigratedBytes)/1e9, res.MigrationEnergy,
-			last.SavingRatio,
-		)
+	for i, p := range res.Points {
+		m := p.Metrics
+		table.AddRow(float64(i), m.PowerSavingRatio, m.RespMean,
+			float64(m.Sim.MigratedBytes)/1e9, m.Sim.MigrationEnergy)
 	}
 	table.Notes = append(table.Notes,
-		"variant 0 = static (packed for phase 0), 1 = full repack each epoch, 2 = incremental (migrate only rate-deviant files, paper §6), 3 = adaptive (per-epoch candidate sweep picks keep/incremental/full)")
+		"variant 0 = static (packed for phase 0), 1 = reorg-full (repack each window), 2 = reorg-incremental (migrate only rate-deviant files, paper §6), 3 = reorg-adaptive (per-window what-if replay picks keep/incremental/full)")
 	return table, nil
 }

@@ -39,13 +39,13 @@ var (
 
 // Actuator is the actuation surface of a streamed run: what a
 // controller may change between windows. It also carries the read-only
-// context controllers plan against (the live spec, the file
-// population, the farm size, the run seed).
+// context controllers plan against (the live spec, the run's trace,
+// the farm size, the run seed).
 type Actuator struct {
 	ctl    *storage.RunControl
 	tuners []*policy.Tunable // per group; nil entries are not tunable
 	live   Spec              // spec as last rewritten (Control stripped)
-	files  []trace.FileInfo
+	tr     *trace.Trace
 	farm   int
 	seed   int64
 }
@@ -61,8 +61,10 @@ func (a *Actuator) FarmSize() int { return a.farm }
 // population-consistent re-plan).
 func (a *Actuator) Seed() int64 { return a.seed }
 
-// Files returns the trace's file population.
-func (a *Actuator) Files() []trace.FileInfo { return a.files }
+// Trace returns the run's trace: its file population and the whole
+// request stream. A controller observing window w reads only the
+// requests before w.End — the rest has not happened yet.
+func (a *Actuator) Trace() *trace.Trace { return a.tr }
 
 // Spec returns the live spec: the run's spec with every re-spec
 // applied so far (and Control stripped).
@@ -106,10 +108,30 @@ func (a *Actuator) SetWorkloadRate(rate float64) error {
 // Assign returns a copy of the live file→disk map.
 func (a *Actuator) Assign() []int { return a.ctl.Assign() }
 
+// FreeBytes returns each disk's remaining capacity under the live map.
+func (a *Actuator) FreeBytes() []int64 { return a.ctl.FreeBytes() }
+
+// MigrationBill prices a move from the live map to assign — the bill
+// Realloc would charge (see storage.RunControl.MigrationBill).
+func (a *Actuator) MigrationBill(assign []int) (moved int, movedBytes int64, energy float64) {
+	return a.ctl.MigrationBill(assign)
+}
+
 // Realloc swaps the live file→disk map, migrating changed files at a
 // modeled energy cost (see storage.RunControl.Realloc).
 func (a *Actuator) Realloc(assign []int) (moved int, movedBytes int64, err error) {
 	return a.ctl.Realloc(assign)
+}
+
+// WhatIf runs an open-loop spec at the run's seed on fresh disks, off
+// the record: the replay publishes nothing to the run's observability
+// sinks, so a controller can score a candidate without the run seeing
+// a second simulation.
+func (a *Actuator) WhatIf(spec Spec) (*Metrics, error) {
+	if spec.Control != nil {
+		return nil, fmt.Errorf("farm %s: a what-if replay runs open-loop — strip Control", spec.Name)
+	}
+	return run(spec, a.seed, pointStages{}, nil)
 }
 
 // setWorkloadRate applies the AxisArrivalRate rewrite to a spec:
@@ -232,7 +254,7 @@ func RunStream(spec Spec, seed int64, epoch float64, sink StreamSink) (*Metrics,
 	act := &Actuator{
 		tuners: tuners,
 		live:   spec,
-		files:  tr.Files,
+		tr:     tr,
 		farm:   farmSize,
 		seed:   seed,
 	}

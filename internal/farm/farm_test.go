@@ -1,8 +1,14 @@
 package farm
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +16,8 @@ import (
 	"diskpack/internal/trace"
 	"diskpack/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // testSpec returns a small valid spec for mutation by the validation
 // table.
@@ -230,13 +238,31 @@ func TestScenarioRegistry(t *testing.T) {
 }
 
 // TestBuiltinScenariosRun executes every registered scenario end to end
-// — the registry's contract is that each entry is runnable by name.
+// — the registry's contract is that each entry is runnable by name —
+// and pins every run against testdata/scenarios.golden: one line per
+// run with its energy, p95, spin-ups, completions and a hash of the
+// full Metrics JSON. Controlled scenarios are also replayed under
+// rate-respec, so both pre-existing controllers are pinned. Regenerate
+// with -update.
 func TestBuiltinScenariosRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("built-in scenarios take a few seconds")
 	}
-	for _, sc := range Scenarios() {
-		sc := sc
+	scs := Scenarios()
+	lines := make([][]string, len(scs))
+	if runtime.GOARCH == "amd64" {
+		t.Cleanup(func() {
+			var all []string
+			for _, l := range lines {
+				all = append(all, l...)
+			}
+			checkGolden(t, "scenarios.golden", strings.Join(all, "\n")+"\n")
+		})
+	} else {
+		t.Logf("scenario golden compared only on amd64 (GOARCH=%s: Go may fuse multiply-adds)", runtime.GOARCH)
+	}
+	for i, sc := range scs {
+		i, sc := i, sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			res, err := RunScenario(sc.Name, 1)
@@ -269,7 +295,53 @@ func TestBuiltinScenariosRun(t *testing.T) {
 					t.Fatalf("single-run scenario Best = %d, want 0", res.Best)
 				}
 			}
+			for k, m := range res.Runs {
+				lines[i] = append(lines[i], goldenLine(t, sc.Name+"/"+res.Labels[k], m))
+			}
+			if sc.Grid == nil && sc.Spec.Control != nil {
+				spec := sc.Spec
+				cs := *spec.Control
+				cs.Controller = "rate-respec"
+				spec.Control = &cs
+				m, err := Run(spec, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines[i] = append(lines[i], goldenLine(t, sc.Name+"/rate-respec", m))
+			}
 		})
+	}
+}
+
+// goldenLine renders one run for the scenario golden.
+func goldenLine(t *testing.T, label string, m *Metrics) string {
+	t.Helper()
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%s energy=%.10g p95=%.10g spinups=%d completed=%d metrics=%x",
+		label, m.Energy, m.RespP95, m.SpinUps, m.Completed, sum[:8])
+}
+
+// checkGolden diffs got against testdata/name, rewriting the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s (regenerate with -update):\n--- got\n%s--- want\n%s", path, got, want)
 	}
 }
 

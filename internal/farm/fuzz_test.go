@@ -3,6 +3,7 @@ package farm
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 	"unicode/utf8"
 )
@@ -71,4 +72,75 @@ func FuzzParseSelector(f *testing.F) {
 			t.Fatalf("selector %+v changed across JSON: %+v (%v)", sel, back, err)
 		}
 	})
+}
+
+// FuzzDecodeDocuments feeds the same bytes to the three document
+// decoders — scenario files, shard manifests, shard results: none
+// panics, a decoded sweep compiles or errors, and every decoded value
+// re-encodes and re-decodes to the same bytes.
+func FuzzDecodeDocuments(f *testing.F) {
+	for _, sc := range Scenarios() {
+		doc := File{Spec: &sc.Spec}
+		if sc.Grid != nil {
+			doc = File{Sweep: sc.Grid}
+		}
+		var b bytes.Buffer
+		if EncodeFile(&b, doc) == nil { // custom axes do not serialize
+			f.Add(b.Bytes())
+		}
+	}
+	grid := Sweep{Name: "fuzz", Base: testSpec(), Axes: []Axis{{Kind: AxisSpinThreshold, Values: []float64{30, 600}}}}
+	shards, err := Shard(grid, 1, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := RunShard(shards[0], nil, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var mb, rb bytes.Buffer
+	if err := EncodeShard(&mb, shards[0]); err != nil {
+		f.Fatal(err)
+	}
+	if err := EncodeShardResult(&rb, *res); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mb.Bytes())
+	f.Add(rb.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if doc, err := DecodeFile(bytes.NewReader(data)); err == nil {
+			if doc.Sweep != nil {
+				_, _ = Compile(*doc.Sweep, 1)
+			}
+			roundTrip(t, *doc, EncodeFile, DecodeFile)
+		}
+		if m, err := DecodeShard(bytes.NewReader(data)); err == nil {
+			_, _ = Compile(m.Sweep, m.Seed)
+			roundTrip(t, *m, EncodeShard, DecodeShard)
+		}
+		if r, err := DecodeShardResult(bytes.NewReader(data)); err == nil {
+			_, _ = Compile(r.Sweep, r.Seed)
+			roundTrip(t, *r, EncodeShardResult, DecodeShardResult)
+		}
+	})
+}
+
+// roundTrip encodes a decoded value, decodes that, and requires the
+// second encoding to repeat the first byte for byte.
+func roundTrip[T any](t *testing.T, v T, enc func(io.Writer, T) error, dec func(io.Reader) (*T, error)) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := enc(&first, v); err != nil {
+		t.Fatalf("re-encoding a decoded %T: %v", v, err)
+	}
+	back, err := dec(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("re-decoding %T: %v\n%s", v, err, first.Bytes())
+	}
+	if err := enc(&second, *back); err != nil {
+		t.Fatalf("encoding the re-decoded %T: %v", v, err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("%T changed across a round trip:\n%s\nvs\n%s", v, first.Bytes(), second.Bytes())
+	}
 }

@@ -16,7 +16,7 @@ import (
 	"runtime"
 	"testing"
 
-	_ "diskpack/internal/control" // registers controlled-* scenarios and the control runner
+	"diskpack/internal/control" // registers controlled-* scenarios and the control runner
 	"diskpack/internal/disk"
 	"diskpack/internal/farm"
 	"diskpack/internal/storage"
@@ -74,6 +74,23 @@ func TestParallelIdentityAcrossScenarios(t *testing.T) {
 	}
 	if controlled == 0 {
 		t.Error("no controlled-* scenario exercised — closed-loop identity unverified")
+	}
+	// The reorg controllers move files at window boundaries; on
+	// hetero's two disk groups those moves cross shards.
+	hetero, _ := farm.Lookup("hetero")
+	for _, k := range []control.Kind{control.KindReorgFull, control.KindReorgIncremental, control.KindReorgAdaptive} {
+		spec := hetero.Spec
+		spec.Control = &farm.ControlSpec{Controller: k.String(), Epoch: 900}
+		t.Run("hetero/"+k.String(), func(t *testing.T) {
+			const seed = 7
+			ref := metricsAtWorkers(t, spec, seed, 1)
+			for _, workers := range workerCounts()[1:] {
+				if got := metricsAtWorkers(t, spec, seed, workers); !bytes.Equal(ref, got) {
+					t.Fatalf("workers=%d metrics diverge from sequential\nseq: %s\npar: %s",
+						workers, ref, got)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"diskpack/internal/core"
 	"diskpack/internal/disk"
+	"diskpack/internal/obs"
 	"diskpack/internal/policy"
 	"diskpack/internal/storage"
 	"diskpack/internal/trace"
@@ -94,7 +95,7 @@ func BuildTrace(w WorkloadSpec, seed int64) (*trace.Trace, error) {
 // normalized against the spec's reference drive and the alloc spec's
 // load constraint.
 func (s Spec) Items(tr *trace.Trace) ([]core.Item, error) {
-	ref := s.referenceParams()
+	ref := s.ReferenceParams()
 	sizes := make([]int64, len(tr.Files))
 	rates := make([]float64, len(tr.Files))
 	for i, f := range tr.Files {
@@ -326,12 +327,15 @@ func RegisterControlRunner(fn func(Spec, int64) (*Metrics, error)) { controlRunn
 // closed-loop executor internal/control registers; everything else
 // runs open-loop here.
 func Run(spec Spec, seed int64) (*Metrics, error) {
-	return run(spec, seed, pointStages{})
+	return run(spec, seed, pointStages{}, CurrentRunObserver())
 }
 
 // run is Run, drawing an open-loop spec's stage outputs from the given
-// source.
-func run(spec Spec, seed int64, from pointStages) (*Metrics, error) {
+// source and publishing to o (nil: unobserved). Each public entry reads
+// the process-wide observer once and hands it down, so a what-if
+// replay nested inside an observed run (Actuator.WhatIf) publishes
+// nothing into that run's sinks.
+func run(spec Spec, seed int64, from pointStages, o *obs.RunObserver) (*Metrics, error) {
 	if spec.Control != nil {
 		if err := spec.Validate(); err != nil {
 			return nil, err
@@ -363,7 +367,7 @@ func run(spec Spec, seed int64, from pointStages) (*Metrics, error) {
 		CacheBytes:    spec.CacheBytes,
 		WriteBestFit:  spec.WriteBestFit,
 		Reliability:   spec.reliabilityConfig(seed),
-		Obs:           CurrentRunObserver(),
+		Obs:           o,
 	}, storage.ParallelConfig{Workers: SimWorkers(), Label: spec.Name})
 	if err != nil {
 		return nil, fmt.Errorf("farm %s: simulation: %w", spec.Name, err)

@@ -332,14 +332,16 @@ func (s SpinSpec) validate() error {
 // into Epoch-length telemetry snapshots and the named controller
 // (resolved by internal/control through the runner registered with
 // RegisterControlRunner) observes each window and actuates — retuning
-// SpinTailAware group thresholds, or re-planning the allocation
-// against the observed arrival rate. It is pure data, so controlled
+// SpinTailAware group thresholds, re-planning the allocation against
+// the observed arrival rate, or re-placing files by the rates measured
+// over the window. It is pure data, so controlled
 // specs serialize, sweep, shard, and coordinate exactly like static
 // ones; controllers themselves are deterministic, keeping
 // Run(spec, seed) a pure function.
 type ControlSpec struct {
 	// Controller names the controller kind ("tail-budget",
-	// "rate-respec"; internal/control owns the vocabulary).
+	// "rate-respec", "reorg-full", ...; internal/control owns the
+	// vocabulary).
 	Controller string
 	// Epoch is the telemetry window length in seconds.
 	Epoch float64
@@ -505,14 +507,14 @@ func (s Spec) groupTotal() int {
 	return n
 }
 
-// referenceParams returns the drive model used to normalize packing
+// ReferenceParams returns the drive model used to normalize packing
 // items. Homogeneous farms use their (default) drive. Heterogeneous
 // farms normalize conservatively, taking each worst-case field
 // independently — the smallest capacity, the slowest transfer rate,
 // and the longest seek and rotation times across the groups — so the
 // reference service time is an upper bound for every drive and no
 // drive in any group can be overfilled by the allocation.
-func (s Spec) referenceParams() disk.Params {
+func (s Spec) ReferenceParams() disk.Params {
 	if len(s.Groups) == 0 {
 		return disk.DefaultParams()
 	}

@@ -70,7 +70,7 @@ func keyStages(points []Point, seed int64) []stageKeys {
 			v:         spec.Alloc.V,
 			disks:     spec.Alloc.Disks,
 			assignLen: len(spec.Alloc.Assign),
-			ref:       spec.referenceParams(),
+			ref:       spec.ReferenceParams(),
 		}
 		if len(spec.Alloc.Assign) > 0 {
 			ai.assign = &spec.Alloc.Assign[0]

@@ -100,6 +100,7 @@ func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 		return ShardPointResult{}, fmt.Errorf("farm: point %d outside the %d-point grid", i, len(c.points))
 	}
 	p := &c.points[i]
+	o := CurrentRunObserver()
 	res := ShardPointResult{Index: i, Label: p.Label}
 	from := pointStages{traces: &c.traces, allocs: &c.allocs, keys: c.keys[i]}
 	var err error
@@ -109,7 +110,7 @@ func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 		from.allocs = nil
 		res.Alloc, err = plan(p.Spec, c.seed+p.SeedOffset, from)
 	} else {
-		res.Metrics, err = run(p.Spec, c.seed+p.SeedOffset, from)
+		res.Metrics, err = run(p.Spec, c.seed+p.SeedOffset, from, o)
 	}
 	if err != nil {
 		return ShardPointResult{}, err
@@ -117,7 +118,7 @@ func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 	// Every executor — in-process pool, shard runner, coordinator
 	// worker — funnels through here, so this is the one place sweep
 	// progress is counted.
-	if o := CurrentRunObserver(); o != nil && o.Metrics != nil {
+	if o != nil && o.Metrics != nil {
 		o.Metrics.SweepPoints.Inc()
 	}
 	return res, nil

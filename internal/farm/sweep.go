@@ -53,8 +53,8 @@ const (
 	// so controlled grids shard and coordinate like any other.
 	AxisController
 	// AxisExplicitAlloc varies the allocation over per-position explicit
-	// file→disk maps carried in Assigns — how the reorg engine turns its
-	// per-epoch candidate evaluation into a shardable sweep. Not
+	// file→disk maps carried in Assigns — how a caller compares
+	// candidate placements of one trace as a shardable sweep. Not
 	// expressible from the CLI grammar (the maps do not fit a flag), but
 	// fully serializable.
 	AxisExplicitAlloc
@@ -496,11 +496,17 @@ type Sweep struct {
 	PlanOnly bool `json:",omitempty"`
 }
 
-// Validate checks the axes and selector. Point specs are validated
-// individually when the sweep runs, because a base may be completed by
-// its axes.
+// maxSweepPoints bounds a grid's point count: far above any grid the
+// repository declares, and low enough that compiling a grid can neither
+// overflow the count nor allocate without limit.
+const maxSweepPoints = 100_000
+
+// Validate checks the axes, the grid size and the selector. Point specs
+// are validated individually when the sweep runs, because a base may
+// be completed by its axes.
 func (s Sweep) Validate() error {
 	seen := make(map[AxisKind]bool, len(s.Axes))
+	n := 1
 	for i, a := range s.Axes {
 		if err := a.validate(); err != nil {
 			return fmt.Errorf("farm: sweep axis %d: %w", i, err)
@@ -513,6 +519,10 @@ func (s Sweep) Validate() error {
 			}
 			seen[a.Kind] = true
 		}
+		if k := a.size(); k > 0 && n > maxSweepPoints/k {
+			return fmt.Errorf("farm: sweep grid exceeds the %d-point maximum", maxSweepPoints)
+		}
+		n *= a.size()
 	}
 	return s.Select.validate()
 }

@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -411,5 +413,27 @@ func TestSweepAtPanics(t *testing.T) {
 			}()
 			res.At(coord...)
 		}()
+	}
+}
+
+// A grid of 7 axes × 1000 values has more points than an int holds;
+// Validate refuses it with the bound, so decoding the document fails
+// cleanly instead of compiling into a makeslice panic.
+func TestHugeGridRefused(t *testing.T) {
+	values := make([]float64, 1000)
+	for i := range values {
+		values[i] = float64(i + 1)
+	}
+	var axes []Axis
+	for _, k := range []AxisKind{AxisSpinThreshold, AxisFarmSize, AxisCacheBytes, AxisCapL, AxisPackV, AxisArrivalRate, AxisSeed} {
+		axes = append(axes, Axis{Kind: k, Values: values})
+	}
+	b, err := json.Marshal(File{Sweep: &Sweep{Name: "huge", Base: testSpec(), Axes: axes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeFile(bytes.NewReader(b))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d-point maximum", maxSweepPoints)) {
+		t.Fatalf("DecodeFile of a %d-byte 7×1000 grid: %v", len(b), err)
 	}
 }

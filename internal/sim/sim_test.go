@@ -297,61 +297,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestResourceImmediateAcquire(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 2)
-	got := 0
-	r.Acquire(func() { got++ })
-	r.Acquire(func() { got++ })
-	if got != 2 || r.InUse() != 2 {
-		t.Fatalf("got=%d inUse=%d want 2,2", got, r.InUse())
-	}
-}
-
-func TestResourceFIFOWaiters(t *testing.T) {
-	env := NewEnv()
-	r := NewResource(env, 1)
-	var order []int
-	r.Acquire(func() {})
-	for i := 1; i <= 3; i++ {
-		i := i
-		r.Acquire(func() { order = append(order, i) })
-	}
-	if r.QueueLen() != 3 {
-		t.Fatalf("queue=%d want 3", r.QueueLen())
-	}
-	r.Release() // waiter 1 acquires
-	r.Release() // waiter 2
-	r.Release() // waiter 3
-	want := []int{1, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order=%v want %v", order, want)
-		}
-	}
-	if r.PeakQueueLen() != 3 {
-		t.Errorf("peak queue=%d want 3", r.PeakQueueLen())
-	}
-}
-
-func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
-		}
-	}()
-	NewResource(NewEnv(), 1).Release()
-}
-
-func TestResourceZeroCapacityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("capacity 0 did not panic")
-		}
-	}()
-	NewResource(NewEnv(), 0)
-}
-
 func BenchmarkEventLoop(b *testing.B) {
 	env := NewEnv()
 	var step func()

@@ -126,16 +126,43 @@ func (c *RunControl) Assign() []int {
 	return append([]int(nil), c.r.place...)
 }
 
-// Realloc replaces the live file→disk map: files whose disk changes
-// are "migrated" at a modeled cost — a read at the source plus a write
-// at the target, each at that drive's transfer rate and active power —
-// charged to the run's energy (and reported per window), not to
-// request response times; like the reorg engine, migration is assumed
-// to ride quiet periods. Placed files must stay placed and unplaced
-// files unplaced, every target must be inside the farm, and no disk
-// may be overfilled; a violating assignment is rejected whole. Requests
-// already queued on the old disks finish there; arrivals from the
-// boundary on follow the new map.
+// FreeBytes returns a copy of each disk's remaining raw capacity under
+// the live map — the room Realloc checks a new map against.
+func (c *RunControl) FreeBytes() []int64 {
+	return append([]int64(nil), c.r.freeBytes...)
+}
+
+// MigrationBill prices moving from the live map to assign: the files
+// whose disk changes, their bytes, and the modeled energy — a read at
+// the source plus a write at the target, each at that drive's transfer
+// rate and active power. Realloc charges exactly this bill; a
+// controller weighing candidate maps prices them with it. Entries that
+// leave or enter Unplaced (or point outside the farm) are not priced.
+func (c *RunControl) MigrationBill(assign []int) (moved int, movedBytes int64, energy float64) {
+	r := c.r
+	for f, d := range assign {
+		old := r.place[f]
+		if old < 0 || d < 0 || d >= r.cfg.NumDisks || d == old {
+			continue
+		}
+		size := r.tr.Files[f].Size
+		moved++
+		movedBytes += size
+		src, dst := r.cfg.paramsFor(old), r.cfg.paramsFor(d)
+		energy += float64(size)/src.TransferRate*src.ActivePower +
+			float64(size)/dst.TransferRate*dst.ActivePower
+	}
+	return moved, movedBytes, energy
+}
+
+// Realloc replaces the live file→disk map, charging MigrationBill to
+// the run's energy (and reporting it per window), not to request
+// response times: migration is assumed to ride quiet periods. Placed
+// files must stay placed and unplaced files unplaced, every target
+// must be inside the farm, and no disk may be overfilled; a violating
+// assignment is rejected whole. Requests already queued on the old
+// disks finish there; arrivals from the boundary on follow the new
+// map.
 func (c *RunControl) Realloc(assign []int) (moved int, movedBytes int64, err error) {
 	r := c.r
 	if len(assign) != len(r.place) {
@@ -145,7 +172,6 @@ func (c *RunControl) Realloc(assign []int) (moved int, movedBytes int64, err err
 	for d := range free {
 		free[d] = r.cfg.paramsFor(d).CapacityBytes
 	}
-	var energy float64
 	crossShard := false
 	for f, d := range assign {
 		old := r.place[f]
@@ -158,16 +184,8 @@ func (c *RunControl) Realloc(assign []int) (moved int, movedBytes int64, err err
 		if d >= 0 {
 			free[d] -= r.tr.Files[f].Size
 		}
-		if old >= 0 && d != old {
-			size := r.tr.Files[f].Size
-			moved++
-			movedBytes += size
-			src, dst := r.cfg.paramsFor(old), r.cfg.paramsFor(d)
-			energy += float64(size)/src.TransferRate*src.ActivePower +
-				float64(size)/dst.TransferRate*dst.ActivePower
-			if r.shardOf != nil && r.shardOf[old] != r.shardOf[d] {
-				crossShard = true
-			}
+		if old >= 0 && d != old && r.shardOf != nil && r.shardOf[old] != r.shardOf[d] {
+			crossShard = true
 		}
 	}
 	for d, b := range free {
@@ -175,6 +193,7 @@ func (c *RunControl) Realloc(assign []int) (moved int, movedBytes int64, err err
 			return 0, 0, fmt.Errorf("storage: realloc overfills disk %d by %d bytes", d, -b)
 		}
 	}
+	moved, movedBytes, energy := c.MigrationBill(assign)
 	copy(r.place, assign)
 	copy(r.freeBytes, free)
 	r.migrationEnergy += energy

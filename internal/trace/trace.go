@@ -129,8 +129,10 @@ func (t *Trace) Stats() Summary {
 }
 
 // EmpiricalRates returns per-file request rates measured from the
-// request stream (count / duration) — the statistics a semi-dynamic
-// deployment accumulates between reorganization points (Section 1.1).
+// request stream (count / duration) — over a Window, the statistics a
+// semi-dynamic deployment accumulates between reorganization points
+// (Section 1.1), which the reorg-* controllers of internal/control
+// re-place files by.
 func (t *Trace) EmpiricalRates() []float64 {
 	rates := make([]float64, len(t.Files))
 	if t.Duration <= 0 {
@@ -143,6 +145,21 @@ func (t *Trace) EmpiricalRates() []float64 {
 		rates[i] /= t.Duration
 	}
 	return rates
+}
+
+// Window cuts the requests in [start, end) out of the trace, rebased
+// so start becomes time zero, over a duration of end − start. The file
+// population is shared, not copied. Requests must be time-ordered (see
+// Validate).
+func (t *Trace) Window(start, end float64) *Trace {
+	lo := sort.Search(len(t.Requests), func(i int) bool { return t.Requests[i].Time >= start })
+	hi := max(lo, sort.Search(len(t.Requests), func(i int) bool { return t.Requests[i].Time >= end }))
+	w := &Trace{Files: t.Files, Requests: make([]Request, hi-lo), Duration: end - start}
+	for i, r := range t.Requests[lo:hi] {
+		r.Time -= start
+		w.Requests[i] = r
+	}
+	return w
 }
 
 // SetEmpiricalRates overwrites each FileInfo.Rate with the measured

@@ -102,6 +102,60 @@ func TestEmpiricalRatesZeroDuration(t *testing.T) {
 	}
 }
 
+// windows cuts the trace into epoch-long windows the way a windowed
+// run closes them: [k·epoch, (k+1)·epoch), the last clipped to the
+// duration.
+func windows(tr *Trace, epoch float64) []*Trace {
+	var out []*Trace
+	for k := 0; float64(k)*epoch < tr.Duration; k++ {
+		out = append(out, tr.Window(float64(k)*epoch, math.Min(float64(k+1)*epoch, tr.Duration)))
+	}
+	return out
+}
+
+func TestSplitEpochs(t *testing.T) {
+	tr := &Trace{
+		Files: []FileInfo{{ID: 0, Size: 1}},
+		Requests: []Request{
+			{Time: 1, FileID: 0}, {Time: 11, FileID: 0}, {Time: 21, FileID: 0},
+		},
+		Duration: 30,
+	}
+	eps := windows(tr, 10)
+	if len(eps) != 3 {
+		t.Fatalf("epochs=%d want 3", len(eps))
+	}
+	for i, ep := range eps {
+		if len(ep.Requests) != 1 {
+			t.Fatalf("epoch %d has %d requests", i, len(ep.Requests))
+		}
+		if ep.Requests[0].Time != 1 {
+			t.Errorf("epoch %d: time not rebased: %v", i, ep.Requests[0].Time)
+		}
+		if ep.Duration != 10 {
+			t.Errorf("epoch %d duration %v", i, ep.Duration)
+		}
+	}
+}
+
+func TestSplitEpochsRagged(t *testing.T) {
+	tr := &Trace{
+		Files:    []FileInfo{{ID: 0, Size: 1}},
+		Requests: []Request{{Time: 24.5, FileID: 0}},
+		Duration: 25,
+	}
+	eps := windows(tr, 10)
+	if len(eps) != 3 {
+		t.Fatalf("epochs=%d want 3", len(eps))
+	}
+	if eps[2].Duration != 5 {
+		t.Errorf("last epoch duration %v want 5", eps[2].Duration)
+	}
+	if len(eps[2].Requests) != 1 || eps[2].Requests[0].Time != 4.5 {
+		t.Errorf("last epoch requests %+v", eps[2].Requests)
+	}
+}
+
 func TestSizeHistogram(t *testing.T) {
 	tr := &Trace{Files: []FileInfo{
 		{ID: 0, Size: 10}, {ID: 1, Size: 100}, {ID: 2, Size: 1000},

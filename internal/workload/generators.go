@@ -353,34 +353,6 @@ func sortBySize(idx []int, files []trace.FileInfo) {
 	sort.SliceStable(idx, func(a, b int) bool { return files[idx[a]].Size < files[idx[b]].Size })
 }
 
-// MarkWrites converts the first access of a fraction of files into a
-// write — new data being ingested into the farm, exercising the
-// Section 1 write policy. The selection is deterministic for a seed;
-// the affected files should be given storage.Unplaced in the initial
-// assignment so the write policy places them. It returns the IDs of
-// the converted files.
-func MarkWrites(tr *trace.Trace, fraction float64, seed int64) []int {
-	if fraction <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	firstSeen := make(map[int]int, len(tr.Files)) // file -> request index
-	for ri, r := range tr.Requests {
-		if _, ok := firstSeen[r.FileID]; !ok {
-			firstSeen[r.FileID] = ri
-		}
-	}
-	var converted []int
-	for fid, ri := range firstSeen {
-		if rng.Float64() < fraction {
-			tr.Requests[ri].Write = true
-			converted = append(converted, fid)
-		}
-	}
-	sort.Ints(converted)
-	return converted
-}
-
 // BuildDrifting synthesizes a trace whose popularity drifts: the
 // duration is split into phases equal windows and each phase draws its
 // requests from a freshly permuted Zipf popularity over the same file

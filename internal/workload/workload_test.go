@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"diskpack/internal/disk"
@@ -447,5 +448,56 @@ func BenchmarkAliasSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Sample(rng)
+	}
+}
+
+// TestDriftingWorkloadActuallyDrifts checks BuildDrifting rotates the
+// hot set: the 50 most-requested files of the first half of the trace
+// and of the second half overlap by at most half.
+func TestDriftingWorkloadActuallyDrifts(t *testing.T) {
+	cfg := DefaultNERSC(5)
+	cfg.NumFiles = 3000
+	cfg.NumRequests = 6000
+	cfg.Duration = 6000 / 0.0447 // keep the paper's arrival rate
+	tr, err := cfg.BuildDrifting(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := tr.Duration / 2
+	counts := [2]map[int]int{{}, {}}
+	for _, r := range tr.Requests {
+		k := 0
+		if r.Time >= half {
+			k = 1
+		}
+		counts[k][r.FileID]++
+	}
+	topN := func(m map[int]int, n int) map[int]bool {
+		type kv struct{ id, c int }
+		all := make([]kv, 0, len(m))
+		for id, c := range m {
+			all = append(all, kv{id, c})
+		}
+		sort.Slice(all, func(a, b int) bool {
+			if all[a].c != all[b].c {
+				return all[a].c > all[b].c
+			}
+			return all[a].id < all[b].id
+		})
+		out := map[int]bool{}
+		for i := 0; i < n && i < len(all); i++ {
+			out[all[i].id] = true
+		}
+		return out
+	}
+	a, b := topN(counts[0], 50), topN(counts[1], 50)
+	overlap := 0
+	for id := range a {
+		if b[id] {
+			overlap++
+		}
+	}
+	if overlap > 25 {
+		t.Errorf("top-50 overlap %d/50 — popularity did not drift", overlap)
 	}
 }
