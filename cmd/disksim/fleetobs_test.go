@@ -50,7 +50,7 @@ func TestFleetObsCLI(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() {
 		serveErr <- run([]string{"-spec", spec, "-seed", "5", "-serve", addr,
-			"-lease", "5s", "-batch", "2",
+			"-lease", "5s",
 			"-obs-out", filepath.Join(obsDir, "coordinator.spans.jsonl")}, &served)
 	}()
 	waitDialable(t, addr)

@@ -134,7 +134,7 @@ type cli struct {
 	sweeps                                    axisFlags
 	seed                                      int64 // actions
 	verbose                                   bool
-	workers, shards, batchN                   int
+	workers, shards                           int
 	specOut, shardOut, serveAddr, journalPath string
 	leaseD                                    time.Duration
 	token, obsOut, traceOut, telemOut         string
@@ -180,7 +180,6 @@ func (c *cli) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.workerName, "name", "", "worker name for -work (default <hostname>-<pid>)")
 	fs.StringVar(&c.journalPath, "journal", "", "coordinator crash journal for -serve: completed points append here; restart with the same flags to resume")
 	fs.DurationVar(&c.leaseD, "lease", time.Minute, "coordinator lease: how long a worker may hold a point without a heartbeat before it re-queues")
-	fs.IntVar(&c.batchN, "batch", 4, "coordinator batch: max points handed out per lease request (adaptively shrunk by observed point cost)")
 	fs.StringVar(&c.token, "token", "", "shared secret for -serve/-work: workers must present it, mismatches get 401")
 	fs.StringVar(&c.obsOut, "obs-out", "", "write this process's span log (JSONL) to FILE; for -serve, -work, and -run-shard (name them *.spans.jsonl and fold with -merge-trace)")
 	fs.StringVar(&c.mergeTrace, "merge-trace", "", "fold the *.spans.jsonl span logs under DIR into one Chrome-trace JSON (to -trace-out FILE, default stdout; load in Perfetto)")
@@ -256,10 +255,10 @@ var modes = []mode{
 	{flag: "shards", arg: "N", role: onGrid, accepts: "shard-out seed",
 		why: "it writes one manifest per shard and exits (-run-shard and -merge take the run flags)",
 		run: func(c *cli) error { return writeShards(*c.doc.Sweep, c.seed, c.shards, c.shardOut, c.out) }},
-	{flag: "serve", arg: "ADDR", role: onGrid, accepts: "seed v journal lease batch token obs-out",
+	{flag: "serve", arg: "ADDR", role: onGrid, accepts: "seed v journal lease token obs-out",
 		why: "the -work machines run the points (size the pool there) and the coordinator prints the drained report",
 		run: func(c *cli) error {
-			return serveSweep(c.out, *c.doc.Sweep, c.seed, c.serveAddr, c.journalPath, c.leaseD, c.batchN, c.token, c.obsOut, c.verbose)
+			return serveSweep(c.out, *c.doc.Sweep, c.seed, c.serveAddr, c.journalPath, c.leaseD, c.token, c.obsOut, c.verbose)
 		}},
 	{arg: "a single-Spec run", role: onSpec, accepts: "seed v trace-out telemetry-out", run: (*cli).runSpec},
 	{arg: "a grid run", role: onGrid, accepts: "seed v workers",
@@ -413,8 +412,8 @@ func run(args []string, out io.Writer) (retErr error) {
 
 // parseValues parses the grid flags and rejects values that are
 // nonsense on their own, whatever the mode: a bad -sweep or -select
-// must fail even alongside -scenarios, a negative pool would silently
-// serialize, and a zero batch would make every lease empty.
+// must fail even alongside -scenarios, and a negative pool would
+// silently serialize.
 func (c *cli) parseValues() error {
 	for _, s := range c.sweeps {
 		ax, err := farm.ParseAxis(s)
@@ -438,8 +437,6 @@ func (c *cli) parseValues() error {
 		return fmt.Errorf("-shards %d must be >= 1", c.shards)
 	case c.leaseD < time.Second:
 		return fmt.Errorf("-lease %v: valid values are >= 1s (workers heartbeat at a third of the lease)", c.leaseD)
-	case c.batchN < 1:
-		return fmt.Errorf("-batch %d: valid values are >= 1", c.batchN)
 	case c.isSet("afr-budget") && !(c.afrBudget > 0 && c.afrBudget < 1):
 		return fmt.Errorf("-afr-budget %v: the annual failure rate budget must be in (0,1)", c.afrBudget)
 	case c.isSet("cycle-cap") && !(c.cycleCap > 0 && !math.IsInf(c.cycleCap, 0)):
@@ -544,16 +541,17 @@ func (c *cli) loadTrace() (farm.File, error) {
 	}}, nil
 }
 
-// replacedFlag maps each -sweep axis kind to the -trace spec flag it
-// replaces at every point, so setting both would drop the flag
-// silently.
-var replacedFlag = map[farm.AxisKind]string{
-	farm.AxisSpinThreshold: "threshold",
-	farm.AxisCapL:          "L",
-	farm.AxisCacheBytes:    "cache",
-	farm.AxisFarmSize:      "disks",
-	farm.AxisAllocKind:     "algo",
-	farm.AxisPackV:         "algo",
+// replacedFlag maps each -sweep axis kind to the -trace spec flags it
+// replaces at every point, so setting one beside it would drop the flag
+// silently. The allocation axes replace -assign as well as -algo: the
+// kind they set at every point replaces the explicit map.
+var replacedFlag = map[farm.AxisKind][]string{
+	farm.AxisSpinThreshold: {"threshold"},
+	farm.AxisCapL:          {"L"},
+	farm.AxisCacheBytes:    {"cache"},
+	farm.AxisFarmSize:      {"disks"},
+	farm.AxisAllocKind:     {"assign", "algo"},
+	farm.AxisPackV:         {"assign", "algo"},
 }
 
 // override applies the override flags to a loaded document, in one
@@ -564,8 +562,10 @@ var replacedFlag = map[farm.AxisKind]string{
 // overrides refuse one, and an axis refuses the flag it replaces.
 func (c *cli) override(doc farm.File) (farm.File, error) {
 	for _, a := range c.axes {
-		if f := replacedFlag[a.Kind]; f != "" && c.isSet(f) && !c.algoKeepsEffect(a.Kind) {
-			return doc, fmt.Errorf("-%s has no effect: the %s axis sets it at every point", f, a.Kind)
+		for _, f := range replacedFlag[a.Kind] {
+			if c.isSet(f) && !c.algoKeepsEffect(a.Kind) {
+				return doc, fmt.Errorf("-%s has no effect: the %s axis sets it at every point", f, a.Kind)
+			}
 		}
 	}
 	controlFlags := c.controlName != "" || c.isSet("epoch") || c.isSet("budget")
@@ -620,8 +620,12 @@ func (c *cli) override(doc farm.File) (farm.File, error) {
 // kind k leaves alone, so the flag that axis replaces still has an
 // effect: -algo random spreads files over -disks, which the farm axis
 // does not resize, and an alloc axis sets only the allocation kind,
-// keeping random's spread and pack4's group size.
+// keeping random's spread and pack4's group size. Beside an -assign
+// map, which overrides -algo, -algo keeps nothing.
 func (c *cli) algoKeepsEffect(k farm.AxisKind) bool {
+	if c.assignIn != "" {
+		return false
+	}
 	switch k {
 	case farm.AxisFarmSize:
 		return c.algo == "random"
@@ -948,7 +952,7 @@ func mergeTraceDir(dir, tracePath string, out io.Writer) error {
 // serveSweep runs the grid as a work-stealing coordinator and prints
 // the drained report — byte-identical to runSweep of the same grid.
 // Progress goes to stderr so the report stays diffable.
-func serveSweep(out io.Writer, sweep farm.Sweep, seed int64, addr, journal string, lease time.Duration, batch int, token, obsOut string, verbose bool) (retErr error) {
+func serveSweep(out io.Writer, sweep farm.Sweep, seed int64, addr, journal string, lease time.Duration, token, obsOut string, verbose bool) (retErr error) {
 	ctx, stop := interruptContext()
 	defer stop()
 	rec, err := openSpanSink(obsOut)
@@ -962,7 +966,6 @@ func serveSweep(out io.Writer, sweep farm.Sweep, seed int64, addr, journal strin
 	}()
 	res, err := coord.Serve(ctx, sweep, seed, addr, coord.Config{
 		LeaseTimeout: lease,
-		BatchSize:    batch,
 		JournalPath:  journal,
 		Token:        token,
 		Spans:        rec,

@@ -214,6 +214,10 @@ func TestShardFlagConflicts(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeGridSpec(t, dir)
 	tr := writeTrace(t, dir)
+	assign := filepath.Join(dir, "small.map")
+	if err := os.WriteFile(assign, []byte(strings.Repeat("0\n1\n", 150)), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]string{
 		{"-spec", spec, "-shards", "2"},                                         // no -shard-out
 		{"-run-shard", "x.json", "-sweep", "threshold=30"},                      // run-shard is self-contained
@@ -249,12 +253,24 @@ func TestShardFlagConflicts(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want conflict error", args)
 		}
 	}
+	// An explicit map is replaced by either allocation axis, and the
+	// refusal names the pair instead of failing the first packed point.
+	for _, c := range []struct{ axis, want string }{
+		{"alloc=pack,ffd", "-assign has no effect: the alloc axis sets it at every point"},
+		{"v=2,4", "-assign has no effect: the v axis sets it at every point"},
+	} {
+		args := []string{"-trace", tr, "-assign", assign, "-sweep", c.axis}
+		if err := run(args, io.Discard); err == nil || err.Error() != c.want {
+			t.Errorf("run(%v) = %v, want %q", args, err, c.want)
+		}
+	}
 	// The same axes run without the flag they replace, and with a flag
 	// that keeps an effect beside them.
 	for _, args := range [][]string{
 		{"-trace", tr, "-sweep", "threshold=30,600"},
 		{"-trace", tr, "-sweep", "farm=40,80", "-disks", "20", "-algo", "random"},
 		{"-trace", tr, "-sweep", "alloc=packv,pack", "-algo", "pack4"},
+		{"-trace", tr, "-assign", assign, "-sweep", "threshold=30,600"},
 	} {
 		if err := run(args, io.Discard); err != nil {
 			t.Errorf("run(%v): %v", args, err)
@@ -279,8 +295,8 @@ func TestPoolFlagValidation(t *testing.T) {
 		{[]string{"-spec", spec, "-workers", "-1"}, "valid values"},
 		{[]string{"-work", "http://127.0.0.1:1", "-workers", "-4"}, "valid values"},
 		{[]string{"-spec", spec, "-serve", "127.0.0.1:0", "-lease", "10ms"}, "valid values"},
-		{[]string{"-spec", spec, "-serve", "127.0.0.1:0", "-batch", "0"}, "valid values"},
-		{[]string{"-spec", spec, "-serve", "127.0.0.1:0", "-batch", "-3"}, "valid values"},
+		// Leases carry one point, so the lease cap is gone with its flag.
+		{[]string{"-spec", spec, "-serve", "127.0.0.1:0", "-batch", "2"}, "flag provided but not defined: -batch"},
 	}
 	for _, c := range cases {
 		err := run(c.args, io.Discard)
@@ -303,7 +319,6 @@ func TestCoordFlagConflicts(t *testing.T) {
 		{"-work", "http://x", "-serve", ":0"},
 		{"-spec", spec, "-journal", "j"},  // journal without -serve
 		{"-spec", spec, "-lease", "90s"},  // lease without -serve
-		{"-spec", spec, "-batch", "2"},    // batch without -serve
 		{"-spec", spec, "-name", "mybox"}, // name without -work
 		{"-spec", spec, "-serve", ":0", "-name", "mybox"},
 		{"-run-shard", "x.json", "-serve", ":0"},
@@ -366,7 +381,7 @@ func TestServeWorkMatchesSingleRun(t *testing.T) {
 			serveErr := make(chan error, 1)
 			go func() {
 				serveErr <- run(append(in.args, "-serve", addr,
-					"-journal", journal, "-lease", "5s", "-batch", "2"), &served)
+					"-journal", journal, "-lease", "5s"), &served)
 			}()
 			waitDialable(t, addr)
 

@@ -64,9 +64,6 @@ const (
 // names; "static" is the open-loop point).
 const AxisController = farm.AxisController
 
-// AxisExplicitAlloc sweeps over per-position explicit file→disk maps.
-const AxisExplicitAlloc = farm.AxisExplicitAlloc
-
 // ParseControllerKind resolves a controller name ("tail-budget",
 // "rate-respec", "reorg-full", "reorg-incremental", "reorg-adaptive").
 func ParseControllerKind(s string) (ControllerKind, error) { return control.ParseKind(s) }

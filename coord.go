@@ -23,7 +23,7 @@ type (
 	// server (ServeSweep bundles the common listen-and-wait loop).
 	SweepCoordinator = coord.Coordinator
 	// SweepCoordConfig parameterizes a coordinator: lease timeout,
-	// lease batch size, crash-journal path, post-drain linger.
+	// crash-journal path, post-drain linger.
 	SweepCoordConfig = coord.Config
 	// SweepWorkerConfig parameterizes a pull-based worker: name,
 	// per-point parallelism, poll interval, transient-failure budget.

@@ -228,9 +228,8 @@ func TestServeWorkSweepPublicAPI(t *testing.T) {
 	servedCh := make(chan outcome, 1)
 	go func() {
 		res, err := ServeSweep(ctx, sweep, 3, "127.0.0.1:0", SweepCoordConfig{
-			BatchSize: 1,
-			Linger:    time.Millisecond,
-			OnListen:  func(a net.Addr) { addrCh <- a.String() },
+			Linger:   time.Millisecond,
+			OnListen: func(a net.Addr) { addrCh <- a.String() },
 		})
 		servedCh <- outcome{res, err}
 	}()

@@ -40,7 +40,6 @@ import (
 // Defaults for the zero Config values.
 const (
 	DefaultLeaseTimeout = time.Minute
-	DefaultBatchSize    = 4
 	DefaultLinger       = 2 * time.Second
 )
 
@@ -57,9 +56,6 @@ type Config struct {
 	// heartbeat or submission before it re-queues for other workers.
 	// Zero means DefaultLeaseTimeout; negative is rejected.
 	LeaseTimeout time.Duration
-	// BatchSize caps the points handed out per lease request. Zero
-	// means DefaultBatchSize; values below 1 are rejected.
-	BatchSize int
 	// JournalPath, when non-empty, appends every completed point to a
 	// crash journal (farm.PointJournal). A coordinator restarted on the
 	// same journal resumes with those points already done.
@@ -74,14 +70,6 @@ type Config struct {
 	// trust boundary. Transport privacy is still the deployment's
 	// problem: put TLS in front for hostile networks.
 	Token string
-	// FixedBatch disables adaptive lease sizing: every lease hands out
-	// up to BatchSize points regardless of how long points are taking.
-	// By default the coordinator sizes leases by an EWMA of observed
-	// per-point wall time, so a batch is expected to finish within half
-	// a lease — on grids with strong cost gradients a fixed batch near
-	// the expensive corner outlives its lease and thrashes as expired
-	// re-leases. BatchSize remains the hard cap either way.
-	FixedBatch bool
 	// OnListen, when non-nil, is called by Serve once the listener is
 	// bound — how callers learn the actual address of ":0".
 	OnListen func(addr net.Addr)
@@ -93,11 +81,6 @@ type Config struct {
 	Spans *obs.SpanRecorder
 }
 
-// batchLeaseFraction is the lease fraction an adaptively sized batch
-// is expected to fill: half, leaving renewal slack for heartbeats and
-// per-point variance.
-const batchLeaseFraction = 0.5
-
 // validate applies defaults and rejects out-of-range values loudly.
 func (c *Config) validate() error {
 	if c.LeaseTimeout == 0 {
@@ -106,12 +89,6 @@ func (c *Config) validate() error {
 	if c.LeaseTimeout < MinLeaseTimeout {
 		return fmt.Errorf("coord: lease timeout %v: valid values are >= %v — workers heartbeat at a third of the lease, no faster than every %v (or 0 for the default %v)",
 			c.LeaseTimeout, MinLeaseTimeout, heartbeatFloor, DefaultLeaseTimeout)
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.BatchSize < 1 {
-		return fmt.Errorf("coord: batch size %d: valid values are >= 1 (or 0 for the default %d)", c.BatchSize, DefaultBatchSize)
 	}
 	if c.Linger == 0 {
 		c.Linger = DefaultLinger
@@ -133,15 +110,15 @@ type (
 		Seed  int64
 		Sweep farm.Sweep
 	}
-	// LeaseRequest asks for up to Max points (the coordinator caps it
-	// at its batch size; Max <= 0 means "coordinator's choice").
+	// LeaseRequest asks for one point. Fields a client adds beyond
+	// Worker, such as an older client's Max, are ignored.
 	LeaseRequest struct {
 		Worker string
-		Max    int
 	}
-	// LeaseResponse grants points. Empty Points with Done=false means
-	// everything is leased out elsewhere — poll again; Done=true means
-	// the grid is complete and the worker can exit.
+	// LeaseResponse grants at most one point: Points and Attempts are
+	// /v1 arrays holding zero or one entry. Empty Points with
+	// Done=false means everything is leased out elsewhere — poll again;
+	// Done=true means the grid is complete and the worker can exit.
 	LeaseResponse struct {
 		Points []farm.ShardPoint
 		// Attempts runs parallel to Points: the global lease attempt
@@ -187,9 +164,7 @@ type (
 		Index  int
 		Error  string
 	}
-	// Status is the GET /v1/status response: queue counters plus the
-	// adaptive-batch observables (EwmaPointSeconds is 0 until the
-	// first submission lands; Batch is the current lease cap).
+	// Status is the GET /v1/status response: queue counters.
 	// Expired counts leases that timed out and were stolen by another
 	// worker; Duplicates counts submissions of already-done points —
 	// both benign by design, but a climbing rate is the first sign of
@@ -198,8 +173,6 @@ type (
 	Status struct {
 		Total, Done, Leased, Pending, Recovered int
 		Expired, Duplicates                     int
-		EwmaPointSeconds                        float64
-		Batch                                   int
 		// LiveWorkers counts workers holding a live lease or heard
 		// from within one lease timeout; MaxLeaseAgeSeconds is the age
 		// of the oldest live lease. Both also surface on /metrics.
@@ -240,8 +213,8 @@ type pointState struct {
 	worker   string
 	deadline time.Time
 	// grantedAt is when the live lease was handed out — the submit
-	// that completes the point turns it into a wall-time observation
-	// for adaptive batch sizing.
+	// that completes the point turns it into a coord_point_seconds
+	// observation.
 	grantedAt time.Time
 	// attempts counts lease grants for this point; it is the global
 	// attempt number span IDs derive from.
@@ -263,10 +236,6 @@ type Coordinator struct {
 	recovered int
 	failed    error // terminal fault (journal write failure)
 	done      chan struct{}
-	// ewmaSec is the exponentially weighted average of observed
-	// per-point wall seconds (0 until the first submission); it sizes
-	// lease batches unless cfg.FixedBatch.
-	ewmaSec float64
 
 	// journalMu serializes journal appends outside mu, so an fsync
 	// never stalls leases, heartbeats, or status reads.
@@ -296,7 +265,6 @@ type Coordinator struct {
 	gDone       *obs.Gauge
 	gLeased     *obs.Gauge
 	gPending    *obs.Gauge
-	gEwma       *obs.Gauge
 	gLeaseAge   *obs.Gauge
 	gLive       *obs.Gauge
 	hPoint      *obs.Histogram
@@ -340,7 +308,6 @@ func New(sweep farm.Sweep, seed int64, cfg Config) (*Coordinator, error) {
 	co.gDone = co.reg.NewGauge("coord_points_done", "points completed")
 	co.gLeased = co.reg.NewGauge("coord_points_leased", "points under a live lease")
 	co.gPending = co.reg.NewGauge("coord_points_pending", "points waiting for a lease")
-	co.gEwma = co.reg.NewGauge("coord_point_seconds_ewma", "EWMA of observed per-point wall seconds")
 	co.gLeaseAge = co.reg.NewGauge("coord_lease_age_max_seconds", "age of the oldest live lease")
 	co.gLive = co.reg.NewGauge("coord_workers_live", "workers holding a live lease or heard from within one lease timeout")
 	co.hPoint = co.reg.NewHistogram("coord_point_seconds", "lease-grant to accepted-submit wall seconds per point",
@@ -397,12 +364,10 @@ func (co *Coordinator) Status() Status {
 
 func (co *Coordinator) statusLocked() Status {
 	s := Status{
-		Total:            len(co.state),
-		Recovered:        co.recovered,
-		Expired:          int(co.mExpired.Total()),
-		Duplicates:       int(co.mDuplicates.Total()),
-		EwmaPointSeconds: co.ewmaSec,
-		Batch:            co.batchLocked(),
+		Total:      len(co.state),
+		Recovered:  co.recovered,
+		Expired:    int(co.mExpired.Total()),
+		Duplicates: int(co.mDuplicates.Total()),
 	}
 	now := co.now()
 	// Per-worker rows: in-flight labels and lease ages for every
@@ -564,33 +529,15 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	co.gDone.Set(float64(st.Done))
 	co.gLeased.Set(float64(st.Leased))
 	co.gPending.Set(float64(st.Pending))
-	co.gEwma.Set(st.EwmaPointSeconds)
 	co.gLeaseAge.Set(st.MaxLeaseAgeSeconds)
 	co.gLive.Set(float64(st.LiveWorkers))
 	w.Header().Set("Content-Type", obs.PrometheusContentType)
 	co.reg.WritePrometheus(w)
 }
 
-// batchLocked returns the current lease cap: BatchSize, shrunk — when
-// adaptive sizing is on and observations exist — so the expected batch
-// wall time fits batchLeaseFraction of a lease. A batch that outlives
-// its lease re-queues mid-flight and thrashes the pool; on grids with
-// strong cost gradients the EWMA tracks the gradient and the batches
-// shrink with it.
-func (co *Coordinator) batchLocked() int {
-	if co.cfg.FixedBatch || co.ewmaSec <= 0 {
-		return co.cfg.BatchSize
-	}
-	n := int(co.cfg.LeaseTimeout.Seconds() * batchLeaseFraction / co.ewmaSec)
-	if n < 1 {
-		return 1
-	}
-	if n > co.cfg.BatchSize {
-		return co.cfg.BatchSize
-	}
-	return n
-}
-
+// handleLease grants the first pending or expired point and stops: a
+// worker slot runs one point at a time, so a second point would only
+// wait in the slot while its lease ran down.
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decodeSmall(w, r, "lease request", &req) {
@@ -598,18 +545,10 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.touchLocked(req.Worker, co.now())
-	batch := co.batchLocked()
-	max := req.Max
-	if max < 1 || max > batch {
-		max = batch
-	}
 	now := co.now()
+	co.touchLocked(req.Worker, now)
 	resp := LeaseResponse{LeaseSeconds: co.cfg.LeaseTimeout.Seconds(), Done: co.pending == 0}
 	for i := range co.state {
-		if len(resp.Points) == max {
-			break
-		}
 		s := &co.state[i]
 		if s.status == statusDone || (s.status == statusLeased && now.Before(s.deadline)) {
 			continue
@@ -633,8 +572,9 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.deadline = now.Add(co.cfg.LeaseTimeout)
 		s.grantedAt = now
 		s.attempts++
-		resp.Points = append(resp.Points, co.comp.Descriptor(i))
-		resp.Attempts = append(resp.Attempts, s.attempts)
+		resp.Points = []farm.ShardPoint{co.comp.Descriptor(i)}
+		resp.Attempts = []int{s.attempts}
+		break
 	}
 	writeJSON(w, resp)
 }
@@ -766,19 +706,8 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := co.now()
-	if !s.grantedAt.IsZero() {
-		// Lease-to-submit wall time feeds the adaptive batch EWMA.
-		// Points later in a batch include their queue wait — an
-		// overestimate that shrinks the next batch, which is the
-		// correction we want.
-		if dur := now.Sub(s.grantedAt).Seconds(); dur >= 0 {
-			if co.ewmaSec <= 0 {
-				co.ewmaSec = dur
-			} else {
-				co.ewmaSec = 0.3*dur + 0.7*co.ewmaSec
-			}
-			co.hPoint.Observe(dur)
-		}
+	if dur := now.Sub(s.grantedAt).Seconds(); !s.grantedAt.IsZero() && dur >= 0 {
+		co.hPoint.Observe(dur)
 	}
 	s.status = statusDone
 	s.worker = req.Worker
@@ -789,19 +718,9 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if done {
 		close(co.done)
 	}
-	// The winning attempt's grant span closes ok, into the recorder
-	// and — after releasing the queue lock — the journal, so the
-	// journal reads as results interleaved with who ran them when.
-	sp := co.grantSpanLocked(req.Point.Index, s, now, obs.SpanOK, nil)
-	_ = co.spans.Record(sp)
+	// The winning attempt's grant span closes ok.
+	_ = co.spans.Record(co.grantSpanLocked(req.Point.Index, s, now, obs.SpanOK, nil))
 	co.mu.Unlock()
-	if journal != nil {
-		co.journalMu.Lock()
-		// Best-effort sidecar: a failing envelope append must not fail
-		// a point whose result is already durable.
-		_ = journal.AppendSpan(sp)
-		co.journalMu.Unlock()
-	}
 	writeJSON(w, SubmitResponse{Done: done})
 }
 

@@ -112,7 +112,7 @@ func TestCoordinatorMatchesRunSweep(t *testing.T) {
 	sweep := fixtureSweep()
 	want := directResult(t, sweep, 9)
 
-	co, err := New(sweep, 9, Config{BatchSize: 2})
+	co, err := New(sweep, 9, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,19 +160,24 @@ func TestWorkerDeathReleases(t *testing.T) {
 	sweep := fixtureSweep()
 	want := directResult(t, sweep, 9)
 
-	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout, BatchSize: 3})
+	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := startServer(t, co)
 	ctx := testCtx(t)
 
-	// The "dead" worker: leases three points and is never heard from
-	// again.
-	var lease LeaseResponse
-	postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "doomed", Max: 3}, &lease)
-	if len(lease.Points) != 3 {
-		t.Fatalf("dead worker leased %d points, want 3", len(lease.Points))
+	// The "dead" worker: leases three points, one request at a time,
+	// and is never heard from again.
+	for i := 0; i < 3; i++ {
+		var lease LeaseResponse
+		postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "doomed"}, &lease)
+		if len(lease.Points) != 1 || lease.Points[0].Index != i {
+			t.Fatalf("dead worker's lease %d granted %+v, want point %d alone", i, lease.Points, i)
+		}
+	}
+	if st := co.Status(); st.Leased != 3 {
+		t.Fatalf("%d points leased, want the dead worker's 3", st.Leased)
 	}
 
 	stats, err := Work(ctx, srv.URL, WorkerConfig{Name: "healthy", Parallel: 2, Poll: 5 * time.Millisecond})
@@ -191,6 +196,26 @@ func TestWorkerDeathReleases(t *testing.T) {
 	}
 	if resultJSON(t, res) != want {
 		t.Fatal("post-death result differs from single-process RunSweep")
+	}
+}
+
+// TestLeaseGrantsOnePoint pins the one-point lease: a request written
+// by an older client that asked for several points gets exactly one.
+func TestLeaseGrantsOnePoint(t *testing.T) {
+	co, err := New(fixtureSweep(), 9, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, co)
+	var lease LeaseResponse
+	if resp := postJSON(t, srv.URL+"/v1/lease", json.RawMessage(`{"Worker":"old","Max":3}`), &lease); resp.StatusCode != http.StatusOK {
+		t.Fatalf("lease: status %d", resp.StatusCode)
+	}
+	if len(lease.Points) != 1 || len(lease.Attempts) != 1 || lease.Points[0].Index != 0 || lease.Attempts[0] != 1 {
+		t.Fatalf("Max:3 lease granted points %+v attempts %v, want point 0 at attempt 1 alone", lease.Points, lease.Attempts)
+	}
+	if st := co.Status(); st.Leased != 1 || st.Pending != st.Total-1 {
+		t.Errorf("after one lease: %d leased, %d pending of %d", st.Leased, st.Pending, st.Total)
 	}
 }
 
@@ -361,7 +386,6 @@ func TestServeEndToEnd(t *testing.T) {
 	go func() {
 		res, err := Serve(ctx, sweep, 9, "127.0.0.1:0", Config{
 			JournalPath: journal,
-			BatchSize:   2,
 			OnListen:    func(a net.Addr) { addrCh <- a.String() },
 		})
 		servedCh <- served{res, err}
@@ -408,15 +432,12 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 // TestConfigValidation pins the loud-range-error satellite: out-of-range
-// lease, batch, and parallelism values are rejected with the valid
-// range named, not clamped.
+// lease and parallelism values are rejected with the valid range named,
+// not clamped.
 func TestConfigValidation(t *testing.T) {
 	sweep := fixtureSweep()
 	if _, err := New(sweep, 1, Config{LeaseTimeout: -time.Second}); err == nil || !strings.Contains(err.Error(), "valid values") {
 		t.Errorf("negative lease accepted: %v", err)
-	}
-	if _, err := New(sweep, 1, Config{BatchSize: -2}); err == nil || !strings.Contains(err.Error(), "valid values") {
-		t.Errorf("negative batch accepted: %v", err)
 	}
 	if _, err := Work(context.Background(), "http://127.0.0.1:0", WorkerConfig{Parallel: -1}); err == nil || !strings.Contains(err.Error(), "valid values") {
 		t.Errorf("negative parallelism accepted: %v", err)
@@ -435,7 +456,7 @@ func TestWorkerCancellation(t *testing.T) {
 	sweep := fixtureSweep()
 	want := directResult(t, sweep, 9)
 
-	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout, BatchSize: 2})
+	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +494,7 @@ func TestPoisonPointFailsRun(t *testing.T) {
 	// succeeds, RunPoint fails — the poison shape.
 	sweep.Axes = append(sweep.Axes, farm.Axis{Kind: farm.AxisCapL, Values: []float64{0.7, 0.0001}})
 
-	co, err := New(sweep, 9, Config{BatchSize: 2})
+	co, err := New(sweep, 9, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +537,7 @@ func TestOversizedBodiesRejected(t *testing.T) {
 		t.Errorf("oversized bodies changed the queue:\nbefore %.300s\nafter  %.300s", before, after)
 	}
 	var lease LeaseResponse
-	if resp := postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "w", Max: 1}, &lease); resp.StatusCode != http.StatusOK || len(lease.Points) != 1 {
+	if resp := postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "w"}, &lease); resp.StatusCode != http.StatusOK || len(lease.Points) != 1 {
 		t.Errorf("well-formed lease after the oversized ones: status %d, %d points", resp.StatusCode, len(lease.Points))
 	}
 }

@@ -3,7 +3,9 @@ package coord
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +19,7 @@ import (
 // alongside the live queue-shape gauges.
 func TestMetricsEndpoint(t *testing.T) {
 	sweep := fixtureSweep()
-	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout, BatchSize: 2})
+	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,19 +27,30 @@ func TestMetricsEndpoint(t *testing.T) {
 	co.now = func() time.Time { return clock }
 	srv := startServer(t, co)
 
-	// "doomed" leases two points and is never heard from again; after
-	// the lease expires, "healthy" steals both — the expiry is charged
-	// to the worker that lost the points.
-	var doomed LeaseResponse
-	postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "doomed", Max: 2}, &doomed)
-	if len(doomed.Points) != 2 {
-		t.Fatalf("leased %d points, want 2", len(doomed.Points))
+	// "doomed" leases two points, one request each, and is never heard
+	// from again; after the leases expire, "healthy" steals both the
+	// same way — the expiry is charged to the worker that lost the
+	// points.
+	leaseTwo := func(worker string) []farm.ShardPoint {
+		t.Helper()
+		var points []farm.ShardPoint
+		for i := 0; i < 2; i++ {
+			var lease LeaseResponse
+			postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: worker}, &lease)
+			if len(lease.Points) != 1 {
+				t.Fatalf("%s's lease %d granted %d points, want 1", worker, i, len(lease.Points))
+			}
+			points = append(points, lease.Points[0])
+		}
+		return points
 	}
+	doomed := leaseTwo("doomed")
 	clock = clock.Add(MinLeaseTimeout + time.Second)
-	var healthy LeaseResponse
-	postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "healthy", Max: 2}, &healthy)
-	if len(healthy.Points) != 2 {
-		t.Fatalf("steal leased %d points, want 2", len(healthy.Points))
+	healthy := leaseTwo("healthy")
+	for i := range healthy {
+		if healthy[i].Index != doomed[i].Index {
+			t.Fatalf("healthy leased point %d, want the expired point %d", healthy[i].Index, doomed[i].Index)
+		}
 	}
 
 	// One point submitted twice: the second copy is a counted
@@ -46,7 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := comp.RunPoint(healthy.Points[0].Index)
+	pr, err := comp.RunPoint(healthy[0].Index)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +95,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if n := len(st.Workers[0].Points); n != 0 {
 		t.Errorf("doomed still shows %d in-flight points after losing its lease", n)
 	}
-	wantLabel := healthy.Points[1].Label
+	wantLabel := healthy[1].Label
 	if got := st.Workers[1].Points; len(got) != 1 || got[0] != wantLabel {
 		t.Errorf("healthy in-flight points %v, want [%s]", got, wantLabel)
 	}
@@ -107,6 +120,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	var wire Status
 	if err := json.Unmarshal(stBody, &wire); err != nil {
 		t.Fatal(err)
+	}
+	// The wire form carries exactly the queue counters and worker rows.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(stBody, &fields); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(fields))
+	if got, want := strings.Join(keys, " "), "Done Duplicates Expired Leased LiveWorkers MaxLeaseAgeSeconds Pending Recovered Total Workers"; got != want {
+		t.Errorf("/v1/status keys %q, want %q", got, want)
 	}
 	if len(wire.Workers) != 3 || len(wire.Workers[1].Points) != 1 || wire.Workers[1].Points[0] != wantLabel {
 		t.Errorf("/v1/status workers %+v, want healthy holding %q", wire.Workers, wantLabel)
@@ -140,6 +162,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	if strings.Contains(string(body), "coord_point_seconds_ewma") {
+		t.Errorf("metrics still export the lease-sizing EWMA:\n%s", body)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"diskpack/internal/farm"
 	"diskpack/internal/obs"
 )
 
@@ -56,7 +57,6 @@ func TestSpanRecordingObservationOnly(t *testing.T) {
 	var coLog syncBuffer
 	journalPath := filepath.Join(t.TempDir(), "coord.journal")
 	co, err := New(sweep, 9, Config{
-		BatchSize:   2,
 		JournalPath: journalPath,
 		Spans:       obs.NewSpanRecorder(&coLog),
 	})
@@ -210,14 +210,36 @@ func TestSpanRecordingObservationOnly(t *testing.T) {
 		}
 	}
 
-	// The coordinator journal carries span envelopes alongside the
-	// point results.
+	// The coordinator journal holds results only: every line after the
+	// header is one complete point result of this grid, and together
+	// they cover every point.
 	data, err := os.ReadFile(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Count(string(data), `{"Span":{`); got != n {
-		t.Errorf("journal has %d span envelopes, want %d", got, n)
+	comp, err := farm.Compile(sweep, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, _ := obs.SplitLines(data)
+	if len(lines) == 0 {
+		t.Fatal("empty journal")
+	}
+	journaled := map[int]bool{}
+	for i, line := range lines[1:] {
+		dec := json.NewDecoder(bytes.NewReader(line))
+		dec.DisallowUnknownFields()
+		var pr farm.ShardPointResult
+		if err := dec.Decode(&pr); err != nil {
+			t.Fatalf("journal line %d is not a point result: %v\n%s", i+1, err, line)
+		}
+		if err := comp.CheckResult(pr); err != nil {
+			t.Errorf("journal line %d: %v", i+1, err)
+		}
+		journaled[pr.Index] = true
+	}
+	if len(journaled) != n {
+		t.Errorf("journal holds %d of the %d points", len(journaled), n)
 	}
 }
 
@@ -231,7 +253,7 @@ func TestWorkerAbortFlushesSpans(t *testing.T) {
 	// of milliseconds — the cancel below lands mid-execution.
 	sweep.Base.Workload.Synthetic.ArrivalRate *= 75
 
-	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout, BatchSize: 1})
+	co, err := New(sweep, 9, Config{LeaseTimeout: MinLeaseTimeout})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +311,7 @@ func TestWorkerAbortFlushesSpans(t *testing.T) {
 			t.Fatal("abandoned point never re-queued")
 		}
 		time.Sleep(10 * time.Millisecond)
-		postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "rescuer", Max: 1}, &lease)
+		postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "rescuer"}, &lease)
 	}
 	if len(lease.Attempts) != 1 || lease.Attempts[0] != 2 {
 		t.Errorf("re-leased attempts %v, want the stolen point at attempt 2", lease.Attempts)

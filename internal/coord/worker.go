@@ -219,9 +219,10 @@ type worker struct {
 
 // pump runs cfg.Parallel independent slots, each its own lease →
 // execute → submit loop pulling one point at a time. Slots never
-// barrier on each other, so concurrency is exactly cfg.Parallel
-// whatever the coordinator's batch cap, and a slow point occupies only
-// its own slot while the rest keep leasing fresh work. One heartbeat
+// barrier on each other, so concurrency is exactly cfg.Parallel, and a
+// slow point occupies only its own slot while the rest keep leasing
+// fresh work. A slot runs every point a lease grants in turn, so it
+// also drains a coordinator that grants several per lease. One heartbeat
 // loop covers every point any slot holds. (A slot holds at most one
 // point, so a lease the coordinator steals back mid-run needs no
 // bookkeeping here: nothing is queued behind it, the run cannot be
@@ -319,7 +320,7 @@ func (w *worker) pump(ctx context.Context, comp *farm.CompiledSweep) (int, error
 			}
 			leaseStart := time.Now()
 			var lease LeaseResponse
-			if err := w.call(slotCtx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: w.cfg.Name, Max: 1}, &lease); err != nil {
+			if err := w.call(slotCtx, http.MethodPost, "/v1/lease", LeaseRequest{Worker: w.cfg.Name}, &lease); err != nil {
 				return fmt.Errorf("coord: worker %s leasing: %w", w.cfg.Name, err)
 			}
 			if lease.LeaseSeconds > 0 {

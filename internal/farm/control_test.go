@@ -285,37 +285,3 @@ func TestControllerAxis(t *testing.T) {
 		t.Errorf("controller sweep not shardable: %v", err)
 	}
 }
-
-// The explicit-alloc axis carries whole file→disk maps and labels.
-func TestExplicitAllocAxis(t *testing.T) {
-	tr, err := BuildTrace(SyntheticWorkload(miniSynthetic(50, 1)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a0 := make([]int, len(tr.Files))
-	a1 := make([]int, len(tr.Files))
-	for i := range a1 {
-		a1[i] = i % 2
-	}
-	sweep := Sweep{
-		Name: "assign",
-		Base: Spec{Workload: TraceWorkload(tr), FarmSize: 2, Spin: SpinSpec{Kind: SpinBreakEven}},
-		Axes: []Axis{{Kind: AxisExplicitAlloc, Assigns: [][]int{a0, a1}, Labels: []string{"all-on-0", "striped"}}},
-	}
-	res, err := RunSweep(sweep, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("%d points", len(res.Points))
-	}
-	if res.Points[0].Label != "all-on-0" || res.Points[1].Label != "striped" {
-		t.Errorf("labels %q %q", res.Points[0].Label, res.Points[1].Label)
-	}
-	if res.Points[0].Spec.Alloc.Kind != AllocExplicit {
-		t.Error("axis did not set explicit alloc")
-	}
-	if err := Shardable(sweep); err != nil {
-		t.Errorf("explicit-alloc sweep not shardable: %v", err)
-	}
-}

@@ -2,8 +2,12 @@ package farm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"unicode/utf8"
 )
@@ -121,6 +125,88 @@ func FuzzDecodeDocuments(f *testing.F) {
 		if r, err := DecodeShardResult(bytes.NewReader(data)); err == nil {
 			_, _ = Compile(r.Sweep, r.Seed)
 			roundTrip(t, *r, EncodeShardResult, DecodeShardResult)
+		}
+	})
+}
+
+// FuzzPointJournal feeds journal recovery a valid header for the
+// fixture sweep followed by arbitrary bytes. OpenPointJournal never
+// panics; when it succeeds, the recovered indexes are unique and a
+// second open returns the same points; and bytes with no newline
+// appended to the file never change what an open returns, because an
+// unterminated tail is a torn append.
+func FuzzPointJournal(f *testing.F) {
+	sweep := fixtureSweep()
+	const seed = 9
+	path := filepath.Join(f.TempDir(), "seed.journal")
+	j, _, err := OpenPointJournal(path, sweep, seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	shards, err := Shard(sweep, seed, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := RunShardStream(context.Background(), shards[0], nil, 1, j.Append); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n := bytes.IndexByte(data, '\n') + 1
+	header, body := data[:n:n], data[n:]
+	// Coordinator journals of earlier releases interleaved span
+	// envelopes with the results.
+	span := []byte(`{"Span":{"ID":"00000000000000aa","Point":1,"Attempt":1,"Phase":"grant","Status":"ok","Start":0.5,"End":1.5}}` + "\n")
+	f.Add(body)
+	f.Add(span)
+	f.Add(append(bytes.Clone(body), span...))
+	f.Add([]byte(`{"Index":3,"Label":"threshold=30s farm=8"}` + "\n" + `{"Index":3`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		open := func(name string, content []byte) ([]ShardPointResult, error) {
+			t.Helper()
+			p := filepath.Join(dir, name)
+			if err := os.WriteFile(p, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, points, err := OpenPointJournal(p, sweep, seed)
+			if err == nil {
+				j.Close()
+			}
+			return points, err
+		}
+		content := append(header, body...)
+		points, err := open("a.journal", content)
+		torn := bytes.ReplaceAll(body, []byte("\n"), nil)
+		if len(torn) == 0 {
+			torn = []byte("{")
+		}
+		tornPoints, tornErr := open("b.journal", append(bytes.Clone(content), torn...))
+		if (err == nil) != (tornErr == nil) || !reflect.DeepEqual(points, tornPoints) {
+			t.Fatalf("an unterminated tail changed recovery: (%d points, %v) became (%d points, %v)", len(points), err, len(tornPoints), tornErr)
+		}
+		if err != nil {
+			return
+		}
+		seen := make(map[int]bool, len(points))
+		for _, pr := range points {
+			if seen[pr.Index] {
+				t.Fatalf("point %d recovered twice", pr.Index)
+			}
+			seen[pr.Index] = true
+		}
+		// The first open truncated any torn tail; what it kept must
+		// recover to the same points.
+		j, again, err := OpenPointJournal(filepath.Join(dir, "a.journal"), sweep, seed)
+		if err != nil {
+			t.Fatalf("reopening a recovered journal: %v", err)
+		}
+		j.Close()
+		if !reflect.DeepEqual(points, again) {
+			t.Fatalf("a second open recovered %d points, the first %d", len(again), len(points))
 		}
 	})
 }

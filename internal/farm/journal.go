@@ -18,10 +18,7 @@ import (
 // it returns, so a crash at any moment loses at most the point being
 // written; recovery discards a torn final line and refuses a journal
 // written for a different sweep or seed rather than resuming wrong
-// numbers. Observability spans may ride along as {"Span":...}
-// envelope lines (AppendSpan); recovery skips them — they are autopsy
-// material, not results, and an old reader never confuses one for a
-// point because ShardPointResult has no Span field.
+// numbers.
 
 // PointJournal is an open journal positioned for appending.
 type PointJournal struct {
@@ -128,12 +125,6 @@ func (j *PointJournal) recover(sweep Sweep, seed int64) ([]ShardPointResult, int
 	var points []ShardPointResult
 	seen := make(map[int]bool)
 	for _, line := range lines[1:] {
-		// Span envelopes are observability sidecars; results never
-		// carry a Span key, so the probe cannot misfire.
-		var env spanEnvelope
-		if err := json.Unmarshal(line, &env); err == nil && env.Span != nil {
-			continue
-		}
 		var pr ShardPointResult
 		if err := json.Unmarshal(line, &pr); err != nil {
 			// A complete line that does not decode is corruption, not
@@ -152,20 +143,6 @@ func (j *PointJournal) recover(sweep Sweep, seed int64) ([]ShardPointResult, int
 // returning, so an acknowledged point survives any subsequent crash.
 func (j *PointJournal) Append(pr ShardPointResult) error {
 	return j.appendLine(pr)
-}
-
-// spanEnvelope wraps a span so a journal line carrying one is
-// unmistakable: point-result lines never have a Span key.
-type spanEnvelope struct {
-	Span *obs.Span
-}
-
-// AppendSpan journals one observability span as an envelope line,
-// synced like any other append. Envelopes are skipped on recovery;
-// they exist so a coordinator journal doubles as an autopsy of which
-// worker ran which point when, next to the results themselves.
-func (j *PointJournal) AppendSpan(sp obs.Span) error {
-	return j.appendLine(spanEnvelope{Span: &sp})
 }
 
 // appendLine writes v as one line (obs.WriteLine) and syncs.

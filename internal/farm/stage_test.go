@@ -58,8 +58,9 @@ func TestStageKeysByAxis(t *testing.T) {
 		{"L", testSpec(), Axis{Kind: AxisCapL, Values: []float64{0.5, 0.7}}, true, false},
 		{"v", testSpec(), Axis{Kind: AxisPackV, Values: []float64{1, 2}}, true, false},
 		{"alloc", testSpec(), Axis{Kind: AxisAllocKind, Values: []float64{float64(AllocPack), float64(AllocFirstFit)}}, true, false},
-		{"assign", Spec{Workload: TraceWorkload(tr), FarmSize: 2},
-			Axis{Kind: AxisExplicitAlloc, Assigns: [][]int{make([]int, len(tr.Files)), striped}}, true, false},
+		{"assign", Spec{Workload: TraceWorkload(tr), FarmSize: 2}, custom(func(s *Spec, i int) {
+			s.Alloc = Explicit([][]int{make([]int, len(tr.Files)), striped}[i])
+		}), true, false},
 		{"seed", testSpec(), Axis{Kind: AxisSeed, Values: []float64{0, 1}}, false, false},
 		{"seed step", testSpec(), Axis{Kind: AxisSpinThreshold, Values: []float64{30, 600}, SeedStep: 1}, false, false},
 		{"rate", testSpec(), Axis{Kind: AxisArrivalRate, Values: []float64{1, 2}}, false, false},

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"diskpack/internal/obs"
 )
 
 // TestAssembleMatchesRunSweep proves the streaming seam end to end:
@@ -274,60 +272,6 @@ func TestPointJournal(t *testing.T) {
 		if _, _, err := OpenPointJournal(path, sweep, 9); err == nil || !strings.Contains(err.Error(), "delete it") {
 			t.Errorf("corrupt journal accepted: %v", err)
 		}
-	}
-}
-
-// TestJournalSpanEnvelopes pins the observability sidecar contract:
-// span envelope lines ride alongside point results but recovery
-// returns only the points.
-func TestJournalSpanEnvelopes(t *testing.T) {
-	sweep := fixtureSweep()
-	c, err := Compile(sweep, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "points.journal")
-	j, _, err := OpenPointJournal(path, sweep, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, err := c.RunPoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(p0); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.AppendSpan(obs.Span{
-		ID: obs.SpanID(c.Fingerprint(), 0, 1, "grant"), Point: 0, Attempt: 1,
-		Phase: "grant", Status: obs.SpanOK, Start: 0.5, End: 1.5,
-		Args: map[string]any{"worker": "w1"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p1, err := c.RunPoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(p1); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	j, recovered, err := OpenPointJournal(path, sweep, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if len(recovered) != 2 || recovered[0].Index != 0 || recovered[1].Index != 1 {
-		t.Fatalf("recovered %d points, want points 0 and 1", len(recovered))
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"Span":{`) {
-		t.Error("journal is missing the span envelope line")
 	}
 }
 

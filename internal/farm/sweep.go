@@ -52,12 +52,6 @@ const (
 	// spec to carry a Control for the epoch and budget). Serializable,
 	// so controlled grids shard and coordinate like any other.
 	AxisController
-	// AxisExplicitAlloc varies the allocation over per-position explicit
-	// file→disk maps carried in Assigns — how a caller compares
-	// candidate placements of one trace as a shardable sweep. Not
-	// expressible from the CLI grammar (the maps do not fit a flag), but
-	// fully serializable.
-	AxisExplicitAlloc
 	// AxisCustom applies a caller-provided function to the spec. Labels
 	// must name each grid position and Apply must be non-nil. Custom
 	// axes cannot be serialized to JSON.
@@ -76,7 +70,6 @@ var axisKindNames = map[AxisKind]string{
 	AxisAllocKind:     "alloc",
 	AxisSeed:          "seed",
 	AxisController:    "control",
-	AxisExplicitAlloc: "assign",
 	AxisCustom:        "custom",
 }
 
@@ -104,9 +97,6 @@ type Axis struct {
 	// Names are the grid coordinates of an AxisController: controller
 	// kind names, plus "static"/"none" for the open-loop point.
 	Names []string `json:",omitempty"`
-	// Assigns are the grid coordinates of an AxisExplicitAlloc: one
-	// explicit file→disk map per position.
-	Assigns [][]int `json:",omitempty"`
 	// SeedStep offsets a point's seed by SeedStep × (index along this
 	// axis), so one axis can carry independent workload draws while the
 	// others stay comparable.
@@ -124,8 +114,6 @@ func (a Axis) size() int {
 		return len(a.Labels)
 	case AxisController:
 		return len(a.Names)
-	case AxisExplicitAlloc:
-		return len(a.Assigns)
 	}
 	return len(a.Values)
 }
@@ -143,11 +131,8 @@ func (a Axis) label(i int) string {
 	if i < len(a.Labels) {
 		return a.Labels[i]
 	}
-	switch a.Kind {
-	case AxisController:
+	if a.Kind == AxisController {
 		return fmt.Sprintf("%s=%s", a.name(), a.Names[i])
-	case AxisExplicitAlloc:
-		return fmt.Sprintf("%s=%d", a.name(), i)
 	}
 	v := a.Values[i]
 	switch a.Kind {
@@ -187,22 +172,6 @@ func (a Axis) validate() error {
 		}
 		if len(a.Labels) > 0 && len(a.Labels) != len(a.Names) {
 			return fmt.Errorf("farm: axis %q has %d labels for %d names", a.name(), len(a.Labels), len(a.Names))
-		}
-		return nil
-	case AxisExplicitAlloc:
-		if len(a.Assigns) == 0 {
-			return fmt.Errorf("farm: explicit-alloc axis %q has no assignments", a.name())
-		}
-		for i, as := range a.Assigns {
-			if len(as) == 0 {
-				return fmt.Errorf("farm: explicit-alloc axis %q assignment %d is empty", a.name(), i)
-			}
-		}
-		if len(a.Values) > 0 {
-			return fmt.Errorf("farm: explicit-alloc axis %q carries values (maps go in Assigns)", a.name())
-		}
-		if len(a.Labels) > 0 && len(a.Labels) != len(a.Assigns) {
-			return fmt.Errorf("farm: axis %q has %d labels for %d assignments", a.name(), len(a.Labels), len(a.Assigns))
 		}
 		return nil
 	}
@@ -263,8 +232,6 @@ func (a Axis) apply(spec *Spec, i int, coord []int) error {
 		cs := *spec.Control
 		cs.Controller = name
 		spec.Control = &cs
-	case AxisExplicitAlloc:
-		spec.Alloc = Explicit(a.Assigns[i])
 	default:
 		return fmt.Errorf("farm: unknown axis kind %d", int(a.Kind))
 	}
@@ -745,9 +712,8 @@ func ParseAxis(s string) (Axis, error) {
 	var kind AxisKind
 	found := false
 	for k, n := range axisKindNames {
-		// Custom axes carry Go functions and explicit-alloc axes whole
-		// file→disk maps; neither fits a flag.
-		if n == dim && k != AxisCustom && k != AxisExplicitAlloc {
+		// Custom axes carry Go functions, which do not fit a flag.
+		if n == dim && k != AxisCustom {
 			kind, found = k, true
 			break
 		}
