@@ -180,7 +180,7 @@ func TestRunShardObsOut(t *testing.T) {
 		t.Errorf("fresh run resume event reused=%v, want 0", got)
 	}
 
-	// Re-run: the result file resumes everything, so the event reports
+	// Re-run: the result journal resumes everything, so the event reports
 	// 2 reused / 0 rerun and no point events follow.
 	rerunPath := filepath.Join(dir, "shard0-rerun.spans.jsonl")
 	if err := run([]string{"-run-shard", manifest, "-obs-out", rerunPath}, io.Discard); err != nil {

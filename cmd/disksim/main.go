@@ -38,9 +38,9 @@
 //	disksim -spec grid.json -seed 7
 //
 // Grids too large for one machine shard into self-contained JSON
-// manifests, run anywhere, and merge back byte-identically (selectors
-// apply post-merge; a re-run of -run-shard resumes, skipping points its
-// result file already holds):
+// manifests, run anywhere into point journals, and merge back
+// byte-identically (selectors apply post-merge; a re-run of -run-shard
+// resumes, skipping points its result journal already holds):
 //
 //	disksim -scenario paper-synth -sweep threshold=30,300 -shards 3 -shard-out grid/
 //	disksim -run-shard grid/shard-000.json        # on any machine
@@ -73,7 +73,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -173,8 +172,8 @@ func (c *cli) flagSet() *flag.FlagSet {
 	fs.IntVar(&c.shards, "shards", 0, "split the grid into N shard manifests under -shard-out instead of running it")
 	fs.StringVar(&c.shardOut, "shard-out", "", "directory for -shards manifests (created if missing)")
 	fs.StringVar(&c.runShard, "run-shard", "", "execute one shard manifest file and write its result file")
-	fs.StringVar(&c.shardResult, "shard-result", "", "result file for -run-shard (default: manifest path with .result.json)")
-	fs.StringVar(&c.mergeDir, "merge", "", "merge shard result files (*.result.json) from a directory and report the sweep")
+	fs.StringVar(&c.shardResult, "shard-result", "", "result journal for -run-shard (default: manifest path with .result.jsonl)")
+	fs.StringVar(&c.mergeDir, "merge", "", "merge shard result journals (*.result.jsonl) from a directory and report the sweep")
 	fs.StringVar(&c.serveAddr, "serve", "", "serve the grid as a work-stealing coordinator on ADDR (e.g. :9931) and report when it drains")
 	fs.StringVar(&c.workURL, "work", "", "join a coordinator as a pull-based worker (URL, e.g. http://host:9931)")
 	fs.StringVar(&c.workerName, "name", "", "worker name for -work (default <hostname>-<pid>)")
@@ -278,7 +277,7 @@ var modes = []mode{
 		why: "it takes only -shard-result, -workers, and -obs-out (the manifest carries the sweep and its seed)",
 		run: func(c *cli) error { return runShardFile(c.runShard, c.shardResult, c.workers, c.obsOut, c.out) }},
 	{flag: "merge", arg: "DIR", accepts: "select v",
-		why: "it takes only -select and -v (the result files carry the sweep and its seed)",
+		why: "it takes only -select and -v (the result journals carry the sweep and its seed)",
 		run: func(c *cli) error { return mergeShards(c.mergeDir, c.selector, c.selectS != "", c.verbose, c.out) }},
 }
 
@@ -762,13 +761,13 @@ func (c *cli) runSpec() error {
 	return nil
 }
 
-// shardFileName names shard i's manifest; its result file replaces
-// .json with .result.json (see resultPathFor).
+// shardFileName names shard i's manifest; its result journal replaces
+// .json with .result.jsonl (see resultPathFor).
 func shardFileName(i int) string { return fmt.Sprintf("shard-%03d.json", i) }
 
-// resultPathFor derives the default result path of a manifest.
+// resultPathFor derives the default result journal path of a manifest.
 func resultPathFor(manifestPath string) string {
-	return strings.TrimSuffix(manifestPath, ".json") + ".result.json"
+	return strings.TrimSuffix(manifestPath, ".json") + ".result.jsonl"
 }
 
 // writeShards partitions the sweep and writes one manifest per shard
@@ -806,8 +805,8 @@ func writeShards(sweep farm.Sweep, seed int64, n int, dir string, out io.Writer)
 
 // interruptContext is the graceful-shutdown seam of the long-running
 // modes (-serve, -work, -run-shard): SIGINT/SIGTERM cancel the context,
-// so in-flight points finish, journals and partial results land on
-// disk, and the exit is non-zero instead of a mid-write kill.
+// so in-flight points finish and land in their journals, and the exit
+// is non-zero instead of a mid-write kill.
 func interruptContext() (context.Context, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	// Deregister on the first signal: the graceful path is running, and
@@ -1033,12 +1032,10 @@ func workSweep(url, name string, workers int, token, obsOut, metricsAddr string,
 	return nil
 }
 
-// runShardFile executes one manifest to its result file. An existing
-// result file is the resume input: points it already holds are reused,
-// only the rest run. While the shard runs, every completed point
-// journals to <result>.partial — synced as it lands — so a crash or an
-// interrupt loses at most one point; the journal is deleted once the
-// final result file is durably in place.
+// runShardFile executes one manifest into its result journal. Every
+// completed point is appended and synced as it lands, so a crash or an
+// interrupt loses at most one point, and a re-run reopens the journal
+// and runs only the points it lacks.
 func runShardFile(manifestPath, resultPath string, workers int, obsOut string, out io.Writer) (retErr error) {
 	ctx, stop := interruptContext()
 	defer stop()
@@ -1070,24 +1067,11 @@ func runShardFile(manifestPath, resultPath string, workers int, obsOut string, o
 	}); err != nil {
 		return err
 	}
-	var prior *farm.ShardResult
-	if rf, err := os.Open(resultPath); err == nil {
-		prior, err = farm.DecodeShardResult(rf)
-		rf.Close()
-		if err != nil {
-			return fmt.Errorf("existing result %s: %w (delete it to start over)", resultPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	partialPath := resultPath + ".partial"
-	journal, journaled, err := farm.OpenPointJournal(partialPath, m.Sweep, m.Seed)
+	journal, done, err := farm.OpenPointJournal(resultPath, m.Sweep, m.Seed)
 	if err != nil {
 		return err
 	}
-	defer journal.Close()
-	prior = priorWithJournal(m, prior, journaled)
-	reused := m.Reused(prior)
+	reused := len(done)
 	// The resume decision is worth a record on both planes: a
 	// structured event in the span log, and one human line on stderr
 	// (the report on stdout stays diffable).
@@ -1106,108 +1090,39 @@ func runShardFile(manifestPath, resultPath string, workers int, obsOut string, o
 			return journal.Append(pr)
 		}
 	}
-	res, err := farm.RunShardStream(ctx, *m, prior, workers, sink)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return fmt.Errorf("interrupted — %s holds every completed point; re-run -run-shard to resume", partialPath)
-		}
-		return err
-	}
-	// Write-then-rename so a failure mid-write cannot destroy the prior
-	// result the resume path depends on.
-	tmp := resultPath + ".tmp"
-	rf, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = farm.EncodeShardResult(rf, *res)
-	// The journal is deleted below on the strength of this file, so its
-	// data must be on disk — not just in the page cache — first.
-	if serr := rf.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := rf.Close(); err == nil {
+	_, err = farm.RunShard(ctx, *m, done, workers, sink)
+	if cerr := journal.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp)
+		if errors.Is(err, context.Canceled) {
+			return fmt.Errorf("interrupted — %s holds every completed point; re-run -run-shard to resume", resultPath)
+		}
 		return err
-	}
-	if err := os.Rename(tmp, resultPath); err != nil {
-		return err
-	}
-	// The journal may only go once the rename is durable — data pages
-	// were synced above, but the directory entry needs its own fsync, or
-	// a power loss could persist the journal unlink while losing the
-	// rename, and with it every completed point. A cleanup failure must
-	// not report the shard as failed either way — a stale journal is
-	// harmless, its points all being in the result file already.
-	journal.Close()
-	if err := farm.SyncParentDir(resultPath); err != nil {
-		fmt.Fprintf(os.Stderr, "disksim: warning: syncing directory of %s: %v — keeping journal %s\n", resultPath, err, partialPath)
-	} else if err := journal.Remove(); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		fmt.Fprintf(os.Stderr, "disksim: warning: removing journal %s: %v (the result %s is complete)\n", partialPath, err, resultPath)
 	}
 	fmt.Fprintf(out, "shard %d/%d: %d points (%d reused) -> %s\n",
-		m.Index, m.Count, len(res.Points), reused, resultPath)
+		m.Index, m.Count, len(m.Points), reused, resultPath)
 	return nil
 }
 
-// priorWithJournal folds the points recovered from a crash journal into
-// the resume input. A result-file prior keeps its identity fields (so
-// RunShard still cross-checks them against the manifest) and wins index
-// ties; with no result file, the journaled points stand alone.
-func priorWithJournal(m *farm.ShardManifest, prior *farm.ShardResult, journaled []farm.ShardPointResult) *farm.ShardResult {
-	if len(journaled) == 0 {
-		return prior
-	}
-	merged := farm.ShardResult{Index: m.Index, Count: m.Count, Seed: m.Seed, Sweep: m.Sweep}
-	if prior != nil {
-		merged = *prior
-		merged.Points = append([]farm.ShardPointResult(nil), prior.Points...)
-	}
-	have := make(map[int]bool, len(merged.Points))
-	for _, p := range merged.Points {
-		have[p.Index] = true
-	}
-	for _, p := range journaled {
-		if !have[p.Index] {
-			merged.Points = append(merged.Points, p)
-			have[p.Index] = true
-		}
-	}
-	sort.Slice(merged.Points, func(i, j int) bool { return merged.Points[i].Index < merged.Points[j].Index })
-	return &merged
-}
-
-// mergeShards recombines every *.result.json under dir and reports the
-// sweep exactly as a single-process run would have. A -select override
-// re-picks the operating point post-merge.
+// mergeShards recombines every *.result.jsonl journal under dir and
+// reports the sweep exactly as a single-process run would have. A
+// -select override re-picks the operating point post-merge.
 func mergeShards(dir string, sel farm.Selector, selSet, verbose bool, out io.Writer) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	var results []farm.ShardResult
+	var paths []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".result.json") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".result.jsonl") {
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return err
-		}
-		r, err := farm.DecodeShardResult(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name(), err)
-		}
-		results = append(results, *r)
 	}
-	if len(results) == 0 {
-		return fmt.Errorf("no *.result.json files in %s (run shards with -run-shard first)", dir)
+	if len(paths) == 0 {
+		return fmt.Errorf("no *.result.jsonl files in %s (run shards with -run-shard first)", dir)
 	}
-	res, err := farm.Merge(results)
+	res, err := farm.Merge(paths)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -128,15 +129,33 @@ func TestShardMergeMatchesSingleRun(t *testing.T) {
 				t.Fatalf("merged report differs from the single-process run:\n--- single\n%s--- merged\n%s", single.String(), merged.String())
 			}
 
-			// Re-running a shard resumes: the result file already holds
-			// every point, so nothing is recomputed and the merge still
-			// matches.
+			// A torn final line — a crash mid-append — is not a point:
+			// the merge ignores it and the report does not move.
+			rf, err := os.OpenFile(filepath.Join(shardDir, "shard-001.result.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rf.WriteString(`{"Index": 1, "Label": "torn`); err != nil {
+				t.Fatal(err)
+			}
+			rf.Close()
+			merged.Reset()
+			if err := run([]string{"-merge", shardDir}, &merged); err != nil {
+				t.Fatal(err)
+			}
+			if single.String() != merged.String() {
+				t.Fatal("merged report changed after a torn tail landed in a result journal")
+			}
+
+			// Re-running a shard resumes: the result journal already
+			// holds every point, so nothing is recomputed and the merge
+			// still matches.
 			var rerun bytes.Buffer
 			if err := run([]string{"-run-shard", filepath.Join(shardDir, "shard-000.json")}, &rerun); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(rerun.String(), fmt.Sprintf("(%d reused)", in.shard0)) {
-				t.Errorf("re-run did not resume from the existing result file: %q", rerun.String())
+				t.Errorf("re-run did not resume from the existing result journal: %q", rerun.String())
 			}
 			merged.Reset()
 			if err := run([]string{"-merge", shardDir}, &merged); err != nil {
@@ -277,7 +296,7 @@ func TestShardFlagConflicts(t *testing.T) {
 		}
 	}
 	if err := run([]string{"-merge", dir}, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "no *.result.json") {
+		!strings.Contains(err.Error(), "no *.result.jsonl") {
 		t.Errorf("merge of a result-less directory: %v", err)
 	}
 }
@@ -445,10 +464,10 @@ func TestServeInterrupt(t *testing.T) {
 	}
 }
 
-// TestRunShardPartialResume pins the -run-shard incremental-flush
-// satellite: a leftover .partial journal is the resume input (its
-// points are reused, proven by a doctored sentinel surviving), and a
-// successful run deletes it.
+// TestRunShardPartialResume pins -run-shard's resume: the result
+// journal a crashed run left is the resume input (its points are
+// reused, proven by a doctored sentinel surviving the run), and it is
+// the only file the run leaves beside the manifests.
 func TestRunShardPartialResume(t *testing.T) {
 	dir := t.TempDir()
 	spec := writeGridSpec(t, dir)
@@ -457,17 +476,9 @@ func TestRunShardPartialResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifestPath := filepath.Join(shardDir, "shard-000.json")
-	mf, err := os.Open(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := farm.DecodeShard(mf)
-	mf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := readManifest(t, manifestPath)
 
-	// Simulate a crashed earlier run: a .partial journal holding one
+	// Simulate a crashed earlier run: a result journal holding one
 	// completed point with a sentinel energy no simulation produces.
 	c, err := farm.Compile(m.Sweep, m.Seed)
 	if err != nil {
@@ -480,8 +491,8 @@ func TestRunShardPartialResume(t *testing.T) {
 	doctored := *pr.Metrics
 	doctored.Energy = 123456789
 	pr.Metrics = &doctored
-	partialPath := resultPathFor(manifestPath) + ".partial"
-	j, _, err := farm.OpenPointJournal(partialPath, m.Sweep, m.Seed)
+	resultPath := resultPathFor(manifestPath)
+	j, _, err := farm.OpenPointJournal(resultPath, m.Sweep, m.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,30 +506,95 @@ func TestRunShardPartialResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "(1 reused)") {
-		t.Errorf("run did not resume from the partial journal: %q", out.String())
+		t.Errorf("run did not resume from the result journal: %q", out.String())
 	}
-	if _, err := os.Stat(partialPath); !os.IsNotExist(err) {
-		t.Errorf(".partial journal not deleted after the final write: %v", err)
-	}
-	rf, err := os.Open(resultPathFor(manifestPath))
+	entries, err := os.ReadDir(shardDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := farm.DecodeShardResult(rf)
-	rf.Close()
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"shard-000.json", "shard-000.result.jsonl", "shard-001.json"}; !slices.Equal(names, want) {
+		t.Errorf("shard directory holds %v, want %v", names, want)
+	}
+	j, points, err := farm.OpenPointJournal(resultPath, m.Sweep, m.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, p := range res.Points {
-		if p.Index == pr.Index {
-			found = true
-			if p.Metrics.Energy != 123456789 {
-				t.Error("journaled point was re-run instead of reused")
-			}
-		}
+	j.Close()
+	if len(points) != len(m.Points) {
+		t.Fatalf("result journal holds %d points, the shard owns %d", len(points), len(m.Points))
 	}
-	if !found {
-		t.Fatal("journaled point missing from the final result")
+	if points[0].Index != pr.Index || points[0].Metrics.Energy != 123456789 {
+		t.Error("journaled point was re-run instead of reused")
 	}
+}
+
+// TestShardResultJournalRefusals pins what the result journal refuses:
+// -run-shard on a journal that holds another shard's point, or on a
+// .result.json document of earlier builds (left untouched), and -merge
+// of a journal written for another seed, naming that file.
+func TestShardResultJournalRefusals(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeGridSpec(t, dir)
+	shardDir := filepath.Join(dir, "shards")
+	if err := run([]string{"-spec", spec, "-seed", "5", "-shards", "2", "-shard-out", shardDir}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	manifest0 := filepath.Join(shardDir, "shard-000.json")
+	manifest1 := filepath.Join(shardDir, "shard-001.json")
+	if err := run([]string{"-run-shard", manifest1}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-run-shard", manifest0, "-shard-result", resultPathFor(manifest1)}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "does not own") {
+		t.Errorf("-run-shard on another shard's journal: %v", err)
+	}
+
+	m := readManifest(t, manifest0)
+	old, err := json.MarshalIndent(map[string]any{
+		"Index": m.Index, "Count": m.Count, "Seed": m.Seed, "Sweep": m.Sweep, "Points": []any{},
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(shardDir, "shard-000.result.json")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"-run-shard", manifest0, "-shard-result", oldPath}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "delete it to start over") {
+		t.Errorf("-run-shard on an earlier build's result document: %v", err)
+	}
+	if after, _ := os.ReadFile(oldPath); !bytes.Equal(after, old) {
+		t.Error("the refused result document was modified")
+	}
+
+	wrongSeed := filepath.Join(shardDir, "seed-6.result.jsonl")
+	j, _, err := farm.OpenPointJournal(wrongSeed, m.Sweep, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	err = run([]string{"-merge", shardDir}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), wrongSeed) || !strings.Contains(err.Error(), "different sweep or seed") {
+		t.Errorf("-merge with another seed's journal: %v", err)
+	}
+}
+
+// readManifest decodes the shard manifest at path.
+func readManifest(t *testing.T, path string) *farm.ShardManifest {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m, err := farm.DecodeShard(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

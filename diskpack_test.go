@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -108,8 +110,9 @@ func TestItemsFromTraceRejectsOversize(t *testing.T) {
 }
 
 // TestShardSweepPublicAPI exercises the distributed-sweep surface end
-// to end through the root package: shard a grid, run the shards through
-// the JSON codecs, merge, and require equality with RunSweep.
+// to end through the root package: shard a grid, pass the manifests
+// through their JSON codec, run each into its point journal, merge the
+// journals, and require equality with RunSweep.
 func TestShardSweepPublicAPI(t *testing.T) {
 	wl := Table1Workload(2, 0)
 	wl.NumFiles = 300
@@ -133,7 +136,8 @@ func TestShardSweepPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []FarmShardResult
+	dir := t.TempDir()
+	var journals []string
 	for _, m := range shards {
 		var buf bytes.Buffer
 		if err := EncodeSweepShard(&buf, m); err != nil {
@@ -143,21 +147,13 @@ func TestShardSweepPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunSweepShard(*dec, nil, 0)
-		if err != nil {
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.result.jsonl", m.Index))
+		if err := RunSweepShard(*dec, path, 0); err != nil {
 			t.Fatal(err)
 		}
-		buf.Reset()
-		if err := EncodeSweepShardResult(&buf, *res); err != nil {
-			t.Fatal(err)
-		}
-		back, err := DecodeSweepShardResult(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, *back)
+		journals = append(journals, path)
 	}
-	merged, err := MergeSweep(results)
+	merged, err := MergeSweep(journals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -162,15 +164,22 @@ func TestControlledSweepShardMerge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shard %d: %v", n, err)
 		}
-		var results []farm.ShardResult
+		dir := t.TempDir()
+		var journals []string
 		for _, m := range shards {
-			r, err := farm.RunShard(m, nil, 2)
+			path := filepath.Join(dir, fmt.Sprintf("shard-%d.result.jsonl", m.Index))
+			j, done, err := farm.OpenPointJournal(path, m.Sweep, m.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = farm.RunShard(context.Background(), m, done, 2, j.Append)
+			j.Close()
 			if err != nil {
 				t.Fatalf("shard %d: %v", m.Index, err)
 			}
-			results = append(results, *r)
+			journals = append(journals, path)
 		}
-		merged, err := farm.Merge(results)
+		merged, err := farm.Merge(journals)
 		if err != nil {
 			t.Fatalf("merge %d: %v", n, err)
 		}

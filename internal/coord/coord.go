@@ -234,7 +234,7 @@ type Coordinator struct {
 	pending   int // points not yet done
 	journal   *farm.PointJournal
 	recovered int
-	failed    error // terminal fault (journal write failure)
+	failed    error // terminal fault (journal write or point failure); leases and submits answer 410 while set
 	done      chan struct{}
 
 	// journalMu serializes journal appends outside mu, so an fsync
@@ -537,7 +537,10 @@ func (co *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleLease grants the first pending or expired point and stops: a
 // worker slot runs one point at a time, so a second point would only
-// wait in the slot while its lease ran down.
+// wait in the slot while its lease ran down. A failed run grants
+// nothing more: 410 Gone carries the failure to the worker, which a 4xx
+// ends at once instead of leaving it to compute points no report will
+// hold.
 func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decodeSmall(w, r, "lease request", &req) {
@@ -547,6 +550,10 @@ func (co *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer co.mu.Unlock()
 	now := co.now()
 	co.touchLocked(req.Worker, now)
+	if co.failed != nil {
+		http.Error(w, co.failed.Error(), http.StatusGone)
+		return
+	}
 	resp := LeaseResponse{LeaseSeconds: co.cfg.LeaseTimeout.Seconds(), Done: co.pending == 0}
 	for i := range co.state {
 		s := &co.state[i]
@@ -643,9 +650,10 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	co.mu.Lock()
 	co.touchLocked(req.Worker, co.now())
 	if co.failed != nil {
+		// Gone, not a retryable 5xx: the run is over, as for a lease.
 		err := co.failed
 		co.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusGone)
 		return
 	}
 	if co.state[req.Point.Index].status == statusDone {
@@ -693,7 +701,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if co.failed != nil {
 		err := co.failed
 		co.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusGone)
 		return
 	}
 	s := &co.state[req.Point.Index]

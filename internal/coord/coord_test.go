@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -510,6 +511,54 @@ func TestPoisonPointFailsRun(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "does not fit") || !strings.Contains(err.Error(), "L=0.0001") {
 		t.Errorf("poison error does not name the point and cause: %v", err)
+	}
+}
+
+// A failed coordinator stops the pool: after a fail report, a lease and
+// a submit of a valid point both answer 410 Gone with the failure text —
+// a status that ends a worker at once — and nothing more is leased.
+func TestFailedCoordinatorAnswersGone(t *testing.T) {
+	sweep := fixtureSweep()
+	co, err := New(sweep, 9, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, co)
+	c, err := farm.Compile(sweep, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := c.RunPoint(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := postJSON(t, srv.URL+"/v1/fail", FailRequest{Worker: "w", Index: 0, Error: "disk on fire"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("fail report: status %d", resp.StatusCode)
+	}
+	leased := co.Status().Leased
+	for path, body := range map[string]any{
+		"/v1/lease":  LeaseRequest{Worker: "w2"},
+		"/v1/submit": SubmitRequest{Worker: "w2", Point: pr},
+	} {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusGone || !strings.Contains(string(msg), "disk on fire") {
+			t.Errorf("%s on a failed run: status %d %q, want 410 with the failure", path, resp.StatusCode, msg)
+		}
+	}
+	if got := co.Status().Leased; got > leased {
+		t.Errorf("a failed run leased more points: %d, was %d", got, leased)
 	}
 }
 

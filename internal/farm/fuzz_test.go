@@ -78,10 +78,10 @@ func FuzzParseSelector(f *testing.F) {
 	})
 }
 
-// FuzzDecodeDocuments feeds the same bytes to the three document
-// decoders — scenario files, shard manifests, shard results: none
-// panics, a decoded sweep compiles or errors, and every decoded value
-// re-encodes and re-decodes to the same bytes.
+// FuzzDecodeDocuments feeds the same bytes to the two document
+// decoders — scenario files and shard manifests: neither panics, a
+// decoded sweep compiles or errors, and every decoded value re-encodes
+// and re-decodes to the same bytes.
 func FuzzDecodeDocuments(f *testing.F) {
 	for _, sc := range Scenarios() {
 		doc := File{Spec: &sc.Spec}
@@ -98,19 +98,11 @@ func FuzzDecodeDocuments(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := RunShard(shards[0], nil, 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var mb, rb bytes.Buffer
+	var mb bytes.Buffer
 	if err := EncodeShard(&mb, shards[0]); err != nil {
 		f.Fatal(err)
 	}
-	if err := EncodeShardResult(&rb, *res); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(mb.Bytes())
-	f.Add(rb.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if doc, err := DecodeFile(bytes.NewReader(data)); err == nil {
 			if doc.Sweep != nil {
@@ -122,22 +114,23 @@ func FuzzDecodeDocuments(f *testing.F) {
 			_, _ = Compile(m.Sweep, m.Seed)
 			roundTrip(t, *m, EncodeShard, DecodeShard)
 		}
-		if r, err := DecodeShardResult(bytes.NewReader(data)); err == nil {
-			_, _ = Compile(r.Sweep, r.Seed)
-			roundTrip(t, *r, EncodeShardResult, DecodeShardResult)
-		}
 	})
 }
 
-// FuzzPointJournal feeds journal recovery a valid header for the
-// fixture sweep followed by arbitrary bytes. OpenPointJournal never
-// panics; when it succeeds, the recovered indexes are unique and a
-// second open returns the same points; and bytes with no newline
-// appended to the file never change what an open returns, because an
-// unterminated tail is a torn append.
+// FuzzPointJournal feeds journal recovery and Merge a valid header for
+// the fixture sweep followed by arbitrary bytes. Neither panics. When
+// OpenPointJournal succeeds, the recovered indexes are unique and a
+// second open returns the same points; bytes with no newline appended
+// to the file never change what an open returns, because an
+// unterminated tail is a torn append. When Merge succeeds, it returns
+// exactly the compiled grid's points, each labelled and filled.
 func FuzzPointJournal(f *testing.F) {
 	sweep := fixtureSweep()
 	const seed = 9
+	c, err := Compile(sweep, seed)
+	if err != nil {
+		f.Fatal(err)
+	}
 	path := filepath.Join(f.TempDir(), "seed.journal")
 	j, _, err := OpenPointJournal(path, sweep, seed)
 	if err != nil {
@@ -147,16 +140,23 @@ func FuzzPointJournal(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if _, err := RunShardStream(context.Background(), shards[0], nil, 1, j.Append); err != nil {
-		f.Fatal(err)
+	// Journal shard 0, then shard 1: the file holds half the grid, then
+	// all of it.
+	var snapshots [][]byte
+	for _, m := range shards {
+		if _, err := RunShard(context.Background(), m, nil, 1, j.Append); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		snapshots = append(snapshots, data)
 	}
 	j.Close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	data := snapshots[1]
 	n := bytes.IndexByte(data, '\n') + 1
-	header, body := data[:n:n], data[n:]
+	header, body, full := data[:n:n], snapshots[0][n:], data[n:]
 	// Coordinator journals of earlier releases interleaved span
 	// envelopes with the results.
 	span := []byte(`{"Span":{"ID":"00000000000000aa","Point":1,"Attempt":1,"Phase":"grant","Status":"ok","Start":0.5,"End":1.5}}` + "\n")
@@ -164,27 +164,43 @@ func FuzzPointJournal(f *testing.F) {
 	f.Add(span)
 	f.Add(append(bytes.Clone(body), span...))
 	f.Add([]byte(`{"Index":3,"Label":"threshold=30s farm=8"}` + "\n" + `{"Index":3`))
+	f.Add(full)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		dir := t.TempDir()
-		open := func(name string, content []byte) ([]ShardPointResult, error) {
+		write := func(name string, content []byte) string {
 			t.Helper()
 			p := filepath.Join(dir, name)
 			if err := os.WriteFile(p, content, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			j, points, err := OpenPointJournal(p, sweep, seed)
+			return p
+		}
+		open := func(name string, content []byte) ([]ShardPointResult, error) {
+			t.Helper()
+			j, points, err := OpenPointJournal(write(name, content), sweep, seed)
 			if err == nil {
 				j.Close()
 			}
 			return points, err
 		}
 		content := append(header, body...)
-		points, err := open("a.journal", content)
 		torn := bytes.ReplaceAll(body, []byte("\n"), nil)
 		if len(torn) == 0 {
 			torn = []byte("{")
 		}
-		tornPoints, tornErr := open("b.journal", append(bytes.Clone(content), torn...))
+		tornContent := append(bytes.Clone(content), torn...)
+		if res, err := Merge([]string{write("m.journal", tornContent)}); err == nil {
+			if len(res.Points) != c.NumPoints() {
+				t.Fatalf("merge returned %d points, the grid has %d", len(res.Points), c.NumPoints())
+			}
+			for i, p := range res.Points {
+				if p.Label != c.Label(i) || p.Metrics == nil {
+					t.Fatalf("merged point %d is %q (metrics %v), grid says %q", i, p.Label, p.Metrics != nil, c.Label(i))
+				}
+			}
+		}
+		points, err := open("a.journal", content)
+		tornPoints, tornErr := open("b.journal", tornContent)
 		if (err == nil) != (tornErr == nil) || !reflect.DeepEqual(points, tornPoints) {
 			t.Fatalf("an unterminated tail changed recovery: (%d points, %v) became (%d points, %v)", len(points), err, len(tornPoints), tornErr)
 		}

@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"diskpack/internal/control"
@@ -138,15 +140,22 @@ func TestObserverDoesNotPerturbSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]farm.ShardResult, len(shards))
-	for i, m := range shards {
-		res, err := farm.RunShard(m, nil, 2)
+	dir := t.TempDir()
+	var journals []string
+	for _, m := range shards {
+		path := filepath.Join(dir, fmt.Sprintf("shard-%d.result.jsonl", m.Index))
+		j, done, err := farm.OpenPointJournal(path, m.Sweep, m.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[i] = *res
+		_, err = farm.RunShard(context.Background(), m, done, 2, j.Append)
+		j.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals = append(journals, path)
 	}
-	merged, err := farm.Merge(results)
+	merged, err := farm.Merge(journals)
 	check("shard/merge", merged, err)
 
 	pool := coord.PoolRunner(context.Background(), 2, coord.Config{}, coord.WorkerConfig{})

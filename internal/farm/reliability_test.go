@@ -165,8 +165,8 @@ func TestReliabilitySweepTradeoff(t *testing.T) {
 
 // TestReliabilityShardMergeByteIdentical extends the shard/merge
 // guarantee to the reliability grid: sharded execution through the
-// JSON codecs reproduces the single-process sweep byte for byte,
-// failure schedules included.
+// manifest codec and point journals reproduces the single-process sweep
+// byte for byte, failure schedules included.
 func TestReliabilityShardMergeByteIdentical(t *testing.T) {
 	sc, _ := Lookup("reliability-sweep")
 	direct, err := RunSweep(*sc.Grid, 7, 0)
@@ -179,16 +179,12 @@ func TestReliabilityShardMergeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := make([]ShardResult, n)
+		dir := t.TempDir()
+		paths := make([]string, n)
 		for i := n - 1; i >= 0; i-- {
-			m := roundTripShard(t, shards[i])
-			res, err := RunShard(m, nil, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results[i] = roundTripResult(t, *res)
+			paths[i] = runShardJournal(t, roundTripShard(t, shards[i]), dir)
 		}
-		merged, err := Merge(results)
+		merged, err := Merge(paths)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,9 +12,10 @@ import (
 // compiled point list is a set of independent pure functions of
 // (spec, seed), so a grid too large for one machine splits cleanly:
 // Shard partitions the points into self-contained JSON manifests,
-// RunShard executes one manifest anywhere (reusing a prior partial
-// result — the resume path), and Merge recombines the result files into
-// the exact SweepResult a single-process RunSweep would have returned —
+// RunShard executes one manifest anywhere, streaming each point into
+// the shard's point journal (journal.go) — its result, and on a re-run
+// its resume input — and Merge recombines the journals into the exact
+// SweepResult a single-process RunSweep would have returned —
 // byte-identical regardless of shard count, machine, or completion
 // order. Custom axes carry Go functions and cannot be sharded, the same
 // restriction persist.go puts on scenario files.
@@ -60,7 +60,7 @@ func (m ShardManifest) Validate() error {
 	if m.Index < 0 || m.Index >= m.Count {
 		return fmt.Errorf("farm: shard index %d outside [0,%d)", m.Index, m.Count)
 	}
-	if err := shardableSweep(m.Sweep); err != nil {
+	if err := Shardable(m.Sweep); err != nil {
 		return err
 	}
 	n := m.Sweep.NumPoints()
@@ -77,9 +77,11 @@ func (m ShardManifest) Validate() error {
 	return nil
 }
 
-// shardableSweep rejects sweeps that cannot round-trip through a shard
-// family: custom axes carry Go functions JSON cannot represent.
-func shardableSweep(s Sweep) error {
+// Shardable reports whether the sweep can leave the process: valid and
+// free of custom axes, whose Apply functions do not serialize. Shard,
+// OpenPointJournal, and the coordinator (internal/coord) all enforce
+// this one rule.
+func Shardable(s Sweep) error {
 	for _, a := range s.Axes {
 		if a.Kind == AxisCustom {
 			return fmt.Errorf("farm: custom axes cannot be sharded (the Apply function does not serialize)")
@@ -87,12 +89,6 @@ func shardableSweep(s Sweep) error {
 	}
 	return s.Validate()
 }
-
-// Shardable reports whether the sweep can leave the process: valid and
-// free of custom axes, whose Apply functions do not serialize. Shard,
-// OpenPointJournal, and the coordinator (internal/coord) all enforce
-// this one rule.
-func Shardable(s Sweep) error { return shardableSweep(s) }
 
 // Shard partitions the sweep's compiled grid into n self-contained
 // manifests, round-robin: point i goes to shard i mod n, so systematic
@@ -103,7 +99,7 @@ func Shard(sweep Sweep, seed int64, n int) ([]ShardManifest, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("farm: shard count %d must be >= 1", n)
 	}
-	if err := shardableSweep(sweep); err != nil {
+	if err := Shardable(sweep); err != nil {
 		return nil, err
 	}
 	points, err := sweep.Points()
@@ -126,53 +122,13 @@ func Shard(sweep Sweep, seed int64, n int) ([]ShardManifest, error) {
 }
 
 // ShardPointResult is one completed grid point: Metrics for simulated
-// sweeps, Alloc for plan-only ones.
+// sweeps, Alloc for plan-only ones. It is one line of a point journal
+// and the payload a coordinator worker submits.
 type ShardPointResult struct {
 	Index   int
 	Label   string
 	Metrics *Metrics    `json:",omitempty"`
 	Alloc   *Allocation `json:",omitempty"`
-}
-
-// ShardResult is the output of running one shard. It repeats the
-// manifest's identity and sweep declaration so a merge needs only the
-// result files — nothing from the planning machine.
-type ShardResult struct {
-	Index  int
-	Count  int
-	Seed   int64
-	Sweep  Sweep
-	Points []ShardPointResult
-}
-
-// Validate reports the first structural inconsistency. Points without a
-// payload are tolerated — a partial file is exactly what the resume
-// path consumes — but Merge requires every point filled.
-func (r ShardResult) Validate() error {
-	if r.Count < 1 {
-		return fmt.Errorf("farm: shard count %d must be >= 1", r.Count)
-	}
-	if r.Index < 0 || r.Index >= r.Count {
-		return fmt.Errorf("farm: shard index %d outside [0,%d)", r.Index, r.Count)
-	}
-	if err := shardableSweep(r.Sweep); err != nil {
-		return err
-	}
-	n := r.Sweep.NumPoints()
-	last := -1
-	for _, p := range r.Points {
-		if p.Index <= last {
-			return fmt.Errorf("farm: shard %d results out of order at index %d", r.Index, p.Index)
-		}
-		if p.Index >= n {
-			return fmt.Errorf("farm: shard %d result index %d outside the %d-point grid", r.Index, p.Index, n)
-		}
-		if p.Metrics != nil && p.Alloc != nil {
-			return fmt.Errorf("farm: shard %d result %d carries both metrics and an allocation", r.Index, p.Index)
-		}
-		last = p.Index
-	}
-	return nil
 }
 
 // complete reports whether the point carries the payload the sweep's
@@ -186,24 +142,19 @@ func (p ShardPointResult) complete(planOnly bool) bool {
 
 // RunShard executes the manifest's points with up to workers goroutines
 // (0 = GOMAXPROCS), exactly as RunSweep would have run them: the same
-// derived spec, the same seed + SeedOffset. prior, when non-nil, is a
-// previous (possibly partial) result of the same shard; its completed
-// points are reused instead of re-run, which is how an interrupted
-// shard resumes. The manifest is cross-checked against the locally
-// compiled grid so a stale manifest fails loudly rather than merging
-// silently wrong numbers.
-func RunShard(m ShardManifest, prior *ShardResult, workers int) (*ShardResult, error) {
-	return RunShardStream(context.Background(), m, prior, workers, nil)
-}
-
-// RunShardStream is RunShard with incremental delivery: sink, when
-// non-nil, receives each newly computed point the moment it completes
-// (calls are serialized; reused prior points are not re-emitted), which
-// is how cmd/disksim journals a shard's progress so a crash loses at
-// most one point. Cancelling the context stops new points from
+// derived spec, the same seed + SeedOffset, and returns them in
+// manifest order. done holds points computed by an earlier run — what
+// OpenPointJournal recovered from the shard's journal — and they are
+// reused instead of re-run, which is how an interrupted shard resumes;
+// each must be a completed point the manifest owns. sink, when non-nil,
+// receives each newly computed point the moment it completes (calls are
+// serialized), which is how a shard journals its progress so a crash
+// loses at most one point. Cancelling the context stops new points from
 // starting — in-flight points finish and reach the sink first — and
-// returns ctx.Err(). A sink error aborts the run.
-func RunShardStream(ctx context.Context, m ShardManifest, prior *ShardResult, workers int, sink func(ShardPointResult) error) (*ShardResult, error) {
+// returns ctx.Err(). A sink error aborts the run. The manifest is
+// cross-checked against the locally compiled grid so a stale manifest
+// fails loudly rather than merging silently wrong numbers.
+func RunShard(ctx context.Context, m ShardManifest, done []ShardPointResult, workers int, sink func(ShardPointResult) error) ([]ShardPointResult, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,64 +162,35 @@ func RunShardStream(ctx context.Context, m ShardManifest, prior *ShardResult, wo
 	if err != nil {
 		return nil, err
 	}
-	for _, sp := range m.Points {
+	slot := make(map[int]int, len(m.Points)) // grid index -> manifest position
+	for i, sp := range m.Points {
 		if err := c.Check(sp); err != nil {
 			return nil, fmt.Errorf("farm: shard %d/%d: %w", m.Index, m.Count, err)
 		}
+		slot[sp.Index] = i
 	}
-	reuse := make(map[int]ShardPointResult)
-	if prior != nil {
-		if err := prior.Validate(); err != nil {
-			return nil, fmt.Errorf("farm: prior shard result: %w", err)
+	out := make([]ShardPointResult, len(m.Points))
+	for _, pr := range done {
+		i, owned := slot[pr.Index]
+		if !owned {
+			return nil, fmt.Errorf("farm: shard %d/%d does not own done point %d (%s) — a journal of another shard?", m.Index, m.Count, pr.Index, pr.Label)
 		}
-		if prior.Index != m.Index || prior.Count != m.Count || prior.Seed != m.Seed {
-			return nil, fmt.Errorf("farm: prior result is shard %d/%d seed %d, manifest is shard %d/%d seed %d",
-				prior.Index, prior.Count, prior.Seed, m.Index, m.Count, m.Seed)
-		}
-		// Identity fields and labels can all collide across edits of the
-		// base spec (labels encode only the axis values), so the whole
-		// sweep declaration must match before any point is reused.
-		mSweep, err := json.Marshal(m.Sweep)
-		if err != nil {
+		if err := c.CheckResult(pr); err != nil {
 			return nil, fmt.Errorf("farm: shard %d/%d: %w", m.Index, m.Count, err)
 		}
-		pSweep, err := json.Marshal(prior.Sweep)
-		if err != nil {
-			return nil, fmt.Errorf("farm: prior shard result: %w", err)
-		}
-		if !bytes.Equal(mSweep, pSweep) {
-			return nil, fmt.Errorf("farm: prior result was computed from a different sweep than the manifest — delete it to start over")
-		}
-		for _, pr := range prior.Points {
-			if !pr.complete(m.Sweep.PlanOnly) {
-				continue
-			}
-			if pr.Index < c.NumPoints() && c.Label(pr.Index) != pr.Label {
-				return nil, fmt.Errorf("farm: prior result point %d is %q, grid says %q — result from a different grid?",
-					pr.Index, pr.Label, c.Label(pr.Index))
-			}
-			reuse[pr.Index] = pr
-		}
-	}
-	out := &ShardResult{
-		Index:  m.Index,
-		Count:  m.Count,
-		Seed:   m.Seed,
-		Sweep:  m.Sweep,
-		Points: make([]ShardPointResult, len(m.Points)),
+		out[i] = pr
 	}
 	var sinkMu sync.Mutex
 	err = parallelFor(ctx, len(m.Points), poolSize(workers), func(i int) error {
-		sp := m.Points[i]
-		if pr, ok := reuse[sp.Index]; ok {
-			out.Points[i] = pr
+		if out[i].complete(m.Sweep.PlanOnly) {
 			return nil
 		}
+		sp := m.Points[i]
 		pr, err := c.RunPoint(sp.Index)
 		if err != nil {
 			return fmt.Errorf("farm: shard %d/%d point %s: %w", m.Index, m.Count, sp.Label, err)
 		}
-		out.Points[i] = pr
+		out[i] = pr
 		if sink != nil {
 			sinkMu.Lock()
 			defer sinkMu.Unlock()
@@ -284,76 +206,48 @@ func RunShardStream(ctx context.Context, m ShardManifest, prior *ShardResult, wo
 	return out, nil
 }
 
-// Reused counts the manifest's points a prior result would satisfy —
-// what RunShard will skip on resume.
-func (m ShardManifest) Reused(prior *ShardResult) int {
-	if prior == nil {
-		return 0
-	}
-	owned := make(map[int]bool, len(m.Points))
-	for _, p := range m.Points {
-		owned[p.Index] = true
-	}
-	n := 0
-	for _, pr := range prior.Points {
-		if owned[pr.Index] && pr.complete(m.Sweep.PlanOnly) {
-			n++
-		}
-	}
-	return n
-}
-
-// Merge recombines shard results — in any order, but all from one
-// shard family (same sweep, seed, and count) and together covering the
-// grid exactly once — into the SweepResult a single-process
+// Merge recombines point journals — shard results, in any order, all
+// written for one (sweep, seed) and together holding every grid point
+// exactly once — into the SweepResult a single-process
 // RunSweep(sweep, seed, workers) would have produced, byte for byte:
-// points are recompiled from the shared sweep declaration, results
+// points are recompiled from the journals' shared header, results
 // slotted in by index, and the selector applied to the completed grid.
-func Merge(results []ShardResult) (*SweepResult, error) {
-	if len(results) == 0 {
-		return nil, fmt.Errorf("farm: merge of zero shard results")
+// A torn final line is ignored, as on resume; each error names the
+// journal at fault.
+func Merge(paths []string) (*SweepResult, error) {
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("farm: merge of zero point journals")
 	}
-	ref := &results[0]
-	refSweep, err := json.Marshal(ref.Sweep)
-	if err != nil {
-		return nil, fmt.Errorf("farm: merge: %w", err)
-	}
-	for i := range results {
-		r := &results[i]
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("farm: merge input %d: %w", i, err)
+	var (
+		c    *CompiledSweep
+		flat []ShardPointResult
+	)
+	from := make(map[int]string) // point index -> journal holding it
+	for _, path := range paths {
+		h, points, _, err := readJournal(path)
+		if err != nil {
+			return nil, err
 		}
-		if r.Seed != ref.Seed || r.Count != ref.Count {
-			return nil, fmt.Errorf("farm: merge input %d is shard %d/%d seed %d, input 0 is shard %d/%d seed %d — results from different runs?",
-				i, r.Index, r.Count, r.Seed, ref.Index, ref.Count, ref.Seed)
+		if h == nil {
+			return nil, fmt.Errorf("farm: journal %s holds no header", path)
 		}
-		if i > 0 {
-			sw, err := json.Marshal(r.Sweep)
-			if err != nil {
-				return nil, fmt.Errorf("farm: merge input %d: %w", i, err)
+		if c == nil {
+			if c, err = Compile(h.Sweep, h.Seed); err != nil {
+				return nil, fmt.Errorf("farm: journal %s: %w", path, err)
 			}
-			if string(sw) != string(refSweep) {
-				return nil, fmt.Errorf("farm: merge input %d declares a different sweep than input 0", i)
-			}
+		} else if !sameRun(*h, journalHeader{Seed: c.Seed(), Sweep: c.Sweep()}) {
+			return nil, fmt.Errorf("farm: journal %s was written for a different sweep or seed than %s", path, paths[0])
 		}
-	}
-	c, err := Compile(ref.Sweep, ref.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// Validate per input before flattening: Assemble would catch every
-	// defect too, but could not say which result file carried it.
-	flat := make([]ShardPointResult, 0, c.NumPoints())
-	seen := make(map[int]int) // point index -> merge input that contributed it
-	for i := range results {
-		for _, pr := range results[i].Points {
+		// Check per journal before flattening: Assemble would catch
+		// every defect too, but could not say which file carried it.
+		for _, pr := range points {
 			if err := c.CheckResult(pr); err != nil {
-				return nil, fmt.Errorf("farm: merge input %d: %w", i, err)
+				return nil, fmt.Errorf("farm: journal %s: %w", path, err)
 			}
-			if prev, dup := seen[pr.Index]; dup {
-				return nil, fmt.Errorf("farm: point %d (%s) appears in both merge inputs %d and %d", pr.Index, pr.Label, prev, i)
+			if prev, dup := from[pr.Index]; dup {
+				return nil, fmt.Errorf("farm: point %d (%s) appears in both %s and %s", pr.Index, pr.Label, prev, path)
 			}
-			seen[pr.Index] = i
+			from[pr.Index] = path
 			flat = append(flat, pr)
 		}
 	}
@@ -382,29 +276,4 @@ func DecodeShard(r io.Reader) (*ShardManifest, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-// EncodeShardResult writes a shard result as indented JSON.
-func EncodeShardResult(w io.Writer, r ShardResult) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// DecodeShardResult reads and validates a shard result file (possibly
-// partial — the resume input).
-func DecodeShardResult(r io.Reader) (*ShardResult, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var sr ShardResult
-	if err := dec.Decode(&sr); err != nil {
-		return nil, fmt.Errorf("farm: decoding shard result: %w", err)
-	}
-	if err := sr.Validate(); err != nil {
-		return nil, err
-	}
-	return &sr, nil
 }

@@ -2,7 +2,11 @@ package farm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -34,19 +38,21 @@ func roundTripShard(t *testing.T, m ShardManifest) ShardManifest {
 	return *dec
 }
 
-// roundTripResult pushes a shard result through its JSON codec, as the
-// CLI does between the worker and the merging machine.
-func roundTripResult(t *testing.T, r ShardResult) ShardResult {
+// runShardJournal runs a manifest into its point journal under dir,
+// as -run-shard does on the worker machine, and returns the journal's
+// path — the file the merging machine reads.
+func runShardJournal(t *testing.T, m ShardManifest, dir string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeShardResult(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeShardResult(&buf)
+	path := filepath.Join(dir, fmt.Sprintf("shard-%03d.result.jsonl", m.Index))
+	j, done, err := OpenPointJournal(path, m.Sweep, m.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *dec
+	defer j.Close()
+	if _, err := RunShard(context.Background(), m, done, 2, j.Append); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func TestShardPartition(t *testing.T) {
@@ -88,9 +94,9 @@ func TestShardPartition(t *testing.T) {
 }
 
 // TestShardMergeByteIdentical is the core guarantee: for several shard
-// counts, running every manifest (through the JSON codecs, in reverse
-// order) and merging the results (in rotated order) reproduces the
-// single-process RunSweep result byte for byte.
+// counts, running every manifest (through its JSON codec, in reverse
+// order) into its point journal and merging the journals (in rotated
+// order) reproduces the single-process RunSweep result byte for byte.
 func TestShardMergeByteIdentical(t *testing.T) {
 	sweep := fixtureSweep()
 	sweep.Select = Selector{Kind: SelectKnee}
@@ -105,17 +111,13 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Run shards in reverse — completion order must not matter.
-		results := make([]ShardResult, n)
+		dir := t.TempDir()
+		paths := make([]string, n)
 		for i := n - 1; i >= 0; i-- {
-			m := roundTripShard(t, shards[i])
-			res, err := RunShard(m, nil, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results[i] = roundTripResult(t, *res)
+			paths[i] = runShardJournal(t, roundTripShard(t, shards[i]), dir)
 		}
 		// Merge in rotated order — input order must not matter either.
-		rotated := append(append([]ShardResult(nil), results[n/2:]...), results[:n/2]...)
+		rotated := append(append([]string(nil), paths[n/2:]...), paths[:n/2]...)
 		merged, err := Merge(rotated)
 		if err != nil {
 			t.Fatal(err)
@@ -144,32 +146,30 @@ func TestShardPlanOnlyMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var results []ShardResult
+	dir := t.TempDir()
+	var paths []string
 	for _, m := range shards {
-		res, err := RunShard(m, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range res.Points {
-			if p.Metrics != nil || p.Alloc == nil {
-				t.Fatalf("plan-only shard point %s payload: metrics=%v alloc=%v", p.Label, p.Metrics, p.Alloc)
-			}
-		}
-		results = append(results, *res)
+		paths = append(paths, runShardJournal(t, m, dir))
 	}
-	merged, err := Merge(results)
+	merged, err := Merge(paths)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, p := range merged.Points {
+		if p.Metrics != nil || p.Alloc == nil {
+			t.Fatalf("plan-only shard point %s payload: metrics=%v alloc=%v", p.Label, p.Metrics, p.Alloc)
+		}
 	}
 	if resultJSON(t, merged) != resultJSON(t, direct) {
 		t.Fatal("plan-only merge differs from single-process RunSweep")
 	}
 }
 
-// TestShardResume pins the resume semantics: points already present in
-// a prior (partial) result are reused verbatim — proven by doctoring a
-// prior metric and watching the sentinel survive — and only the missing
-// points are recomputed.
+// TestShardResume pins the resume semantics: points already in the
+// shard's journal are reused verbatim — proven by doctoring a journaled
+// metric and watching the sentinel survive — only the missing points
+// are recomputed and appended, and a done point the manifest does not
+// own or the grid does not know is refused.
 func TestShardResume(t *testing.T) {
 	sweep := fixtureSweep()
 	shards, err := Shard(sweep, 9, 2)
@@ -177,63 +177,84 @@ func TestShardResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := shards[0]
-	full, err := RunShard(m, nil, 0)
+	ctx := context.Background()
+	full, err := RunShard(ctx, m, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full.Points) < 2 {
-		t.Fatalf("fixture shard too small to test resume: %d points", len(full.Points))
+	if len(full) < 2 {
+		t.Fatalf("fixture shard too small to test resume: %d points", len(full))
 	}
 
-	// A partial file holding only the first point, with a sentinel
-	// energy value no simulation would produce.
-	partial := *full
-	partial.Points = []ShardPointResult{full.Points[0]}
-	doctored := *partial.Points[0].Metrics
-	doctored.Energy = 123456789
-	partial.Points[0].Metrics = &doctored
-	partial = roundTripResult(t, partial)
-
-	resumed, err := RunShard(m, &partial, 0)
+	// A crashed earlier run left a journal holding only the first
+	// point, with a sentinel energy value no simulation would produce.
+	path := filepath.Join(t.TempDir(), "shard-000.result.jsonl")
+	j, _, err := OpenPointJournal(path, m.Sweep, m.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Reused(&partial); got != 1 {
-		t.Errorf("Reused = %d, want 1", got)
+	doctored := full[0]
+	sentinel := *doctored.Metrics
+	sentinel.Energy = 123456789
+	doctored.Metrics = &sentinel
+	if err := j.Append(doctored); err != nil {
+		t.Fatal(err)
 	}
-	if len(resumed.Points) != len(full.Points) {
-		t.Fatalf("resume produced %d points, want %d", len(resumed.Points), len(full.Points))
+	j.Close()
+
+	j, done, err := OpenPointJournal(path, m.Sweep, m.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resumed.Points[0].Metrics.Energy != 123456789 {
-		t.Errorf("resume re-ran point %d instead of reusing the prior result", resumed.Points[0].Index)
+	rerun := 0
+	resumed, err := RunShard(ctx, m, done, 0, func(pr ShardPointResult) error {
+		rerun++
+		return j.Append(pr)
+	})
+	j.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(full.Points); i++ {
-		if fingerprint(resumed.Points[i].Metrics) != fingerprint(full.Points[i].Metrics) {
-			t.Errorf("resumed point %d differs from the fresh run", resumed.Points[i].Index)
+	if rerun != len(full)-1 {
+		t.Errorf("resume recomputed %d points, want %d", rerun, len(full)-1)
+	}
+	if len(resumed) != len(full) {
+		t.Fatalf("resume produced %d points, want %d", len(resumed), len(full))
+	}
+	if resumed[0].Metrics.Energy != 123456789 {
+		t.Errorf("resume re-ran point %d instead of reusing the journaled result", resumed[0].Index)
+	}
+	for i := 1; i < len(full); i++ {
+		if fingerprint(resumed[i].Metrics) != fingerprint(full[i].Metrics) {
+			t.Errorf("resumed point %d differs from the fresh run", resumed[i].Index)
 		}
 	}
+	// The journal now holds the whole shard, the sentinel included.
+	j, again, err := OpenPointJournal(path, m.Sweep, m.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(again) != len(full) {
+		t.Fatalf("journal after the resume holds %d points, want %d", len(again), len(full))
+	}
+	if again[0].Metrics.Energy != 123456789 {
+		t.Error("the journaled sentinel did not survive the resume")
+	}
 
-	// A prior whose label disagrees with the grid is a stale file from
-	// some other sweep — refuse it rather than merge wrong numbers.
-	stale := *full
-	stale.Points = append([]ShardPointResult(nil), full.Points...)
-	stale.Points[0].Label = "threshold=999s farm=8"
-	if _, err := RunShard(m, &stale, 0); err == nil || !strings.Contains(err.Error(), "different grid") {
-		t.Errorf("stale prior accepted: %v", err)
+	// A done point whose label disagrees with the grid is a stale
+	// result from some other sweep — refuse it rather than merge wrong
+	// numbers.
+	stale := full[0]
+	stale.Label = "threshold=999s farm=8"
+	if _, err := RunShard(ctx, m, []ShardPointResult{stale}, 0, nil); err == nil || !strings.Contains(err.Error(), "different grid") {
+		t.Errorf("stale done point accepted: %v", err)
 	}
-	// A prior from another seed must be refused too.
-	wrongSeed := *full
-	wrongSeed.Seed = 10
-	if _, err := RunShard(m, &wrongSeed, 0); err == nil {
-		t.Error("prior with mismatched seed accepted")
-	}
-	// A prior whose identity fields and labels all match but whose base
-	// spec was edited between runs carries numbers from the old spec —
-	// the whole sweep declaration must match before anything is reused.
-	wrongSpec := *full
-	wrongSpec.Sweep.Base.CacheBytes = 1 << 30
-	if _, err := RunShard(m, &wrongSpec, 0); err == nil || !strings.Contains(err.Error(), "different sweep") {
-		t.Errorf("prior from an edited base spec accepted: %v", err)
+	// A done point of another shard means the journal is that shard's.
+	theirs := shards[1].Points[0]
+	foreign := ShardPointResult{Index: theirs.Index, Label: theirs.Label, Metrics: full[0].Metrics}
+	if _, err := RunShard(ctx, m, []ShardPointResult{foreign}, 0, nil); err == nil || !strings.Contains(err.Error(), "does not own") {
+		t.Errorf("another shard's done point accepted: %v", err)
 	}
 }
 
@@ -257,30 +278,38 @@ func TestShardValidation(t *testing.T) {
 	tampered := shards[0]
 	tampered.Points = append([]ShardPoint(nil), shards[0].Points...)
 	tampered.Points[0].SeedOffset = 999
-	if _, err := RunShard(tampered, nil, 0); err == nil || !strings.Contains(err.Error(), "compiled grid") {
+	if _, err := RunShard(context.Background(), tampered, nil, 0, nil); err == nil || !strings.Contains(err.Error(), "compiled grid") {
 		t.Errorf("tampered manifest ran: %v", err)
 	}
 
-	r0, err := RunShard(shards[0], nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := RunShard(shards[1], nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	p0 := runShardJournal(t, shards[0], dir)
+	p1 := runShardJournal(t, shards[1], dir)
 	// Missing shard: the error must name the first uncovered point.
-	if _, err := Merge([]ShardResult{*r0}); err == nil || !strings.Contains(err.Error(), "missing point") {
+	if _, err := Merge([]string{p0}); err == nil || !strings.Contains(err.Error(), "missing point") {
 		t.Errorf("incomplete merge accepted: %v", err)
 	}
-	// Duplicated shard: same point twice, naming both offending inputs.
-	if _, err := Merge([]ShardResult{*r0, *r1, *r0}); err == nil || !strings.Contains(err.Error(), "merge inputs 0 and 2") {
+	// Duplicated shard: same point twice, naming both journals.
+	data, err := os.ReadFile(p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := filepath.Join(dir, "copy.result.jsonl")
+	if err := os.WriteFile(dup, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Merge([]string{p0, p1, dup}); err == nil || !strings.Contains(err.Error(), "both "+p0+" and "+dup) {
 		t.Errorf("duplicate merge accepted: %v", err)
 	}
-	// Mixed seeds: results from different runs must not combine.
-	other := *r1
-	other.Seed = 10
-	if _, err := Merge([]ShardResult{*r0, other}); err == nil || !strings.Contains(err.Error(), "different runs") {
+	// Mixed seeds: journals from different runs must not combine, and
+	// the error names the odd one out.
+	wrongSeed := filepath.Join(dir, "seed10.result.jsonl")
+	j, _, err := OpenPointJournal(wrongSeed, sweep, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if _, err := Merge([]string{p0, wrongSeed}); err == nil || !strings.Contains(err.Error(), wrongSeed+" was written for a different sweep or seed") {
 		t.Errorf("mixed-seed merge accepted: %v", err)
 	}
 	if _, err := Merge(nil); err == nil {
@@ -291,9 +320,6 @@ func TestShardValidation(t *testing.T) {
 func TestShardFileValidation(t *testing.T) {
 	if _, err := DecodeShard(strings.NewReader(`{"Bogus": 1}`)); err == nil {
 		t.Error("unknown manifest field decoded")
-	}
-	if _, err := DecodeShardResult(strings.NewReader(`{"Bogus": 1}`)); err == nil {
-		t.Error("unknown result field decoded")
 	}
 	if _, err := DecodeShard(strings.NewReader(`{"Index": 2, "Count": 1}`)); err == nil {
 		t.Error("out-of-range shard index decoded")

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,9 +41,9 @@ func TestAssembleMatchesRunSweep(t *testing.T) {
 	}
 }
 
-// TestMergeFromStreamingSeam covers Merge over shard results whose
-// points were produced one at a time through the seam rather than by
-// RunShard — the path a coordinator-fed shard file takes.
+// TestMergeFromStreamingSeam covers Merge over journals whose points
+// were produced one at a time through the seam, out of order, rather
+// than by RunShard — the path a coordinator's journal takes.
 func TestMergeFromStreamingSeam(t *testing.T) {
 	sweep := fixtureSweep()
 	sweep.Select = Selector{Kind: SelectKnee}
@@ -55,23 +56,33 @@ func TestMergeFromStreamingSeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2
-	shards := make([]ShardResult, n)
-	for s := range shards {
-		shards[s] = ShardResult{Index: s, Count: n, Seed: 9, Sweep: sweep}
+	dir := t.TempDir()
+	paths := make([]string, n)
+	journals := make([]*PointJournal, n)
+	for s := range journals {
+		paths[s] = filepath.Join(dir, fmt.Sprintf("part-%d.jsonl", s))
+		if journals[s], _, err = OpenPointJournal(paths[s], sweep, 9); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := 0; i < c.NumPoints(); i++ {
+	for i := c.NumPoints() - 1; i >= 0; i-- {
 		pr, err := c.RunPoint(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards[i%n].Points = append(shards[i%n].Points, pr)
+		if err := journals[i%n].Append(pr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	merged, err := Merge(shards)
+	for _, j := range journals {
+		j.Close()
+	}
+	merged, err := Merge(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resultJSON(t, merged) != resultJSON(t, direct) {
-		t.Fatal("merge of seam-produced results differs from single-process RunSweep")
+		t.Fatal("merge of seam-produced journals differs from single-process RunSweep")
 	}
 }
 
@@ -121,11 +132,11 @@ func TestCompiledSweepChecks(t *testing.T) {
 	}
 }
 
-// TestRunShardStream pins the streaming contract RunShard's journal
+// TestRunShardSink pins the streaming contract a shard's journal
 // depends on: every newly computed point reaches the sink exactly once,
-// reused prior points are not re-emitted, and cancelling the context
-// aborts with ctx.Err() after the in-flight points have streamed.
-func TestRunShardStream(t *testing.T) {
+// done points are not re-emitted, and cancelling the context aborts
+// with ctx.Err() after the in-flight points have streamed.
+func TestRunShardSink(t *testing.T) {
 	sweep := fixtureSweep()
 	shards, err := Shard(sweep, 9, 2)
 	if err != nil {
@@ -133,7 +144,7 @@ func TestRunShardStream(t *testing.T) {
 	}
 	m := shards[0]
 	var streamed []ShardPointResult
-	full, err := RunShardStream(context.Background(), m, nil, 0, func(pr ShardPointResult) error {
+	full, err := RunShard(context.Background(), m, nil, 0, func(pr ShardPointResult) error {
 		streamed = append(streamed, pr)
 		return nil
 	})
@@ -154,10 +165,10 @@ func TestRunShardStream(t *testing.T) {
 		}
 	}
 
-	// Resume: with a full prior, nothing is recomputed so nothing
+	// Resume: with every point done, nothing is recomputed so nothing
 	// streams.
 	streamed = nil
-	if _, err := RunShardStream(context.Background(), m, full, 0, func(pr ShardPointResult) error {
+	if _, err := RunShard(context.Background(), m, full, 0, func(pr ShardPointResult) error {
 		streamed = append(streamed, pr)
 		return nil
 	}); err != nil {
@@ -170,12 +181,12 @@ func TestRunShardStream(t *testing.T) {
 	// A cancelled context aborts the run with ctx.Err().
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunShardStream(ctx, m, nil, 0, nil); err != context.Canceled {
+	if _, err := RunShard(ctx, m, nil, 0, nil); err != context.Canceled {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
 
 	// A sink failure aborts the run.
-	if _, err := RunShardStream(context.Background(), m, nil, 1, func(ShardPointResult) error {
+	if _, err := RunShard(context.Background(), m, nil, 1, func(ShardPointResult) error {
 		return os.ErrClosed
 	}); err == nil || !strings.Contains(err.Error(), "streaming point") {
 		t.Errorf("sink failure not surfaced: %v", err)

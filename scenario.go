@@ -1,6 +1,7 @@
 package diskpack
 
 import (
+	"context"
 	"io"
 
 	"diskpack/internal/farm"
@@ -48,8 +49,6 @@ type (
 	// FarmShard is one self-contained unit of a sharded sweep: the full
 	// grid declaration plus the point subset one machine runs.
 	FarmShard = farm.ShardManifest
-	// FarmShardResult is the JSON result of running one shard.
-	FarmShardResult = farm.ShardResult
 )
 
 // Workload-source constructors.
@@ -152,25 +151,33 @@ func RunSweep(sweep FarmSweep, seed int64, workers int) (*FarmSweepResult, error
 // ShardSweep splits a sweep's compiled grid into n self-contained shard
 // manifests (round-robin over the point list, each carrying the full
 // sweep declaration and per-point seeds). Run each anywhere with
-// RunSweepShard and recombine with MergeSweep; the merged result is
-// byte-identical to RunSweep(sweep, seed, workers) for any n.
+// RunSweepShard and recombine the journals with MergeSweep; the merged
+// result is byte-identical to RunSweep(sweep, seed, workers) for any n.
 func ShardSweep(sweep FarmSweep, seed int64, n int) ([]FarmShard, error) {
 	return farm.Shard(sweep, seed, n)
 }
 
 // RunSweepShard executes one shard manifest with up to workers
-// goroutines. prior, when non-nil, is a previous (possibly partial)
-// result of the same shard whose completed points are reused instead of
-// re-run — the resume path.
-func RunSweepShard(m FarmShard, prior *FarmShardResult, workers int) (*FarmShardResult, error) {
-	return farm.RunShard(m, prior, workers)
+// goroutines into the point journal at path, the shard's result: each
+// point is appended and synced as it completes. A journal already at
+// path is reopened and only the points it lacks run — the resume path.
+func RunSweepShard(m FarmShard, path string, workers int) error {
+	j, done, err := farm.OpenPointJournal(path, m.Sweep, m.Seed)
+	if err != nil {
+		return err
+	}
+	_, err = farm.RunShard(context.Background(), m, done, workers, j.Append)
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// MergeSweep recombines shard results — in any order — into the exact
-// SweepResult a single-process RunSweep would have produced, erroring
-// on missing, duplicated, or mismatched points.
-func MergeSweep(results []FarmShardResult) (*FarmSweepResult, error) {
-	return farm.Merge(results)
+// MergeSweep recombines shard result journals — in any order — into the
+// exact SweepResult a single-process RunSweep would have produced,
+// erroring on missing, duplicated, or mismatched points.
+func MergeSweep(paths []string) (*FarmSweepResult, error) {
+	return farm.Merge(paths)
 }
 
 // EncodeSweepShard writes a shard manifest as JSON; DecodeSweepShard
@@ -180,18 +187,6 @@ func EncodeSweepShard(w io.Writer, m FarmShard) error { return farm.EncodeShard(
 
 // DecodeSweepShard reads and validates a shard manifest.
 func DecodeSweepShard(r io.Reader) (*FarmShard, error) { return farm.DecodeShard(r) }
-
-// EncodeSweepShardResult writes a shard result as JSON;
-// DecodeSweepShardResult reads one back (possibly partial — the resume
-// input).
-func EncodeSweepShardResult(w io.Writer, res FarmShardResult) error {
-	return farm.EncodeShardResult(w, res)
-}
-
-// DecodeSweepShardResult reads and validates a shard result file.
-func DecodeSweepShardResult(r io.Reader) (*FarmShardResult, error) {
-	return farm.DecodeShardResult(r)
-}
 
 // ParseSweepAxis parses the "dim=v1,v2,..." axis grammar shared with
 // cmd/disksim's -sweep flag.
