@@ -28,10 +28,11 @@
 // Controllers are deterministic functions of what they observe,
 // so a controlled run stays a pure function of (spec, seed,
 // controller): byte-identical across repeats, worker counts, shards,
-// and coordinator pools. The package registers itself as farm's
-// control runner at init, which makes controlled specs (farm.Spec
-// with Control set) first-class citizens of every executor — Run,
-// sweeps, shards, and the work-stealing coordinator.
+// and coordinator pools. At init the package registers with farm a
+// factory that turns a controlled spec (farm.Spec with Control set)
+// into its controller's window sink, so farm runs the spec through the
+// same body as an open-loop one, and every executor — Run, sweeps,
+// shards, and the work-stealing coordinator — takes it unchanged.
 package control
 
 import (

@@ -39,16 +39,12 @@ type Result struct {
 }
 
 func init() {
-	// Controlled specs reach farm.Run through this hook; registering it
-	// here makes them runnable by every executor that funnels through
-	// Run — sweeps, shards, the coordinator — the moment this package
-	// is linked in.
-	farm.RegisterControlRunner(func(spec farm.Spec, seed int64) (*farm.Metrics, error) {
-		res, err := RunSpec(spec, seed)
-		if err != nil {
-			return nil, err
-		}
-		return res.Metrics, nil
+	// Controlled specs reach farm.Run as their controller's window
+	// sink; registering the factory here makes them runnable by every
+	// executor that funnels through Run — sweeps, shards, the
+	// coordinator — the moment this package is linked in.
+	farm.RegisterController(func(spec farm.Spec) (farm.StreamSink, error) {
+		return newSink(spec, nil)
 	})
 }
 
@@ -66,17 +62,33 @@ func RunSpec(spec farm.Spec, seed int64) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ctrl, err := New(*cs, spec)
+	res := &Result{Controller: cs.Controller}
+	sink, err := newSink(spec, res)
 	if err != nil {
 		return nil, err
 	}
 	inner := spec
 	inner.Control = nil
-	res := &Result{Controller: cs.Controller}
-	m, err := farm.RunStream(inner, seed, cs.Epoch, func(w *farm.Window, act *farm.Actuator) error {
-		// Snapshots are double-buffered and reused two windows later;
-		// deep-copy what we retain.
-		res.Windows = append(res.Windows, *w.Clone())
+	if res.Metrics, err = farm.RunStream(inner, seed, cs.Epoch, sink); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// newSink builds the window sink that runs spec's controller, logging
+// the windows it sees and the actions it takes into res unless res is
+// nil.
+func newSink(spec farm.Spec, res *Result) (farm.StreamSink, error) {
+	ctrl, err := New(*spec.Control, spec)
+	if err != nil {
+		return nil, err
+	}
+	return func(w *farm.Window, act *farm.Actuator) error {
+		if res != nil {
+			// Snapshots are double-buffered and reused two windows
+			// later; deep-copy what we retain.
+			res.Windows = append(res.Windows, *w.Clone())
+		}
 		if w.Final {
 			// Nothing follows the final window; deciding on it would
 			// only clutter the action log.
@@ -95,23 +107,19 @@ func RunSpec(spec farm.Spec, seed int64) (*Result, error) {
 				oc.ActionOutcome(a, applied.Applied)
 			}
 			applied.Window = w.Index
-			res.Actions = append(res.Actions, applied)
-			observeAction(w, applied)
+			if res != nil {
+				res.Actions = append(res.Actions, applied)
+			}
+			observeAction(act.Observer(), w, applied)
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics = m
-	return res, nil
+	}, nil
 }
 
-// observeAction publishes one controller decision to the installed
+// observeAction publishes one controller decision to the run's
 // observability sinks (observation only — the action log itself is
 // the source of truth).
-func observeAction(w *farm.Window, applied AppliedAction) {
-	o := farm.CurrentRunObserver()
+func observeAction(o *obs.RunObserver, w *farm.Window, applied AppliedAction) {
 	if o == nil {
 		return
 	}

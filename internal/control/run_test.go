@@ -84,13 +84,13 @@ func TestControlledRunDeterminism(t *testing.T) {
 	if len(a.Windows) == 0 {
 		t.Error("no telemetry windows")
 	}
-	// And through the farm.Run hook (what sweeps execute).
+	// And through farm.Run (what sweeps execute).
 	m, err := farm.Run(sc.Spec, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(mustJSON(t, a.Metrics), mustJSON(t, m)) {
-		t.Error("farm.Run hook result differs from RunSpec metrics")
+		t.Error("farm.Run result differs from RunSpec metrics")
 	}
 }
 
@@ -145,7 +145,7 @@ func controlledGrid(t *testing.T) farm.Sweep {
 
 // A controlled sweep is byte-identical at any worker count and across
 // shard → run → merge — the distributed executors inherit controlled
-// specs through the farm.Run hook with nothing special to do.
+// specs through farm.Run with nothing special to do.
 func TestControlledSweepShardMerge(t *testing.T) {
 	grid := controlledGrid(t)
 	ref, err := farm.RunSweep(grid, 9, 1)
@@ -362,8 +362,8 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-// RunSpec refuses open-loop specs; farm.Run refuses nothing (the hook
-// handles controlled specs end to end).
+// RunSpec refuses open-loop specs; farm.Run refuses nothing (the
+// registered controller sink handles controlled specs end to end).
 func TestRunSpecGuards(t *testing.T) {
 	sc, _ := farm.Lookup("bursty")
 	if _, err := RunSpec(sc.Spec, 1); err == nil {

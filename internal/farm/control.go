@@ -5,13 +5,14 @@ import (
 	"math"
 
 	"diskpack/internal/disk"
+	"diskpack/internal/obs"
 	"diskpack/internal/policy"
 	"diskpack/internal/storage"
 	"diskpack/internal/trace"
 )
 
 // The telemetry seam of the online control plane: RunStream executes a
-// spec exactly as Run does — same trace, same allocation, same event
+// spec through Run's body — same trace, same allocation, same event
 // order, so a do-nothing sink reproduces Run byte for byte — while
 // emitting a Window snapshot every epoch and handing the sink an
 // Actuator that can retune SpinTailAware group thresholds and swap the
@@ -40,19 +41,20 @@ var (
 // Actuator is the actuation surface of a streamed run: what a
 // controller may change between windows. It also carries the read-only
 // context controllers plan against (the live spec, the run's trace,
-// the farm size, the run seed).
+// the farm size, the run seed) and the run's observer.
 type Actuator struct {
 	ctl    *storage.RunControl
-	tuners []*policy.Tunable // per group; nil entries are not tunable
+	tuners []*policy.Tunable // per group; nil unless SpinTailAware
 	live   Spec              // spec as last rewritten (Control stripped)
 	tr     *trace.Trace
 	farm   int
 	seed   int64
+	o      *obs.RunObserver
 }
 
 // NumGroups returns the number of disk groups (1 for homogeneous
 // farms).
-func (a *Actuator) NumGroups() int { return len(a.tuners) }
+func (a *Actuator) NumGroups() int { return max(len(a.live.Groups), 1) }
 
 // FarmSize returns the simulated farm size.
 func (a *Actuator) FarmSize() int { return a.farm }
@@ -70,11 +72,15 @@ func (a *Actuator) Trace() *trace.Trace { return a.tr }
 // applied so far (and Control stripped).
 func (a *Actuator) Spec() Spec { return a.live }
 
+// Observer returns the run's observability sinks (nil when the run is
+// unobserved), for a sink to publish its own records to.
+func (a *Actuator) Observer() *obs.RunObserver { return a.o }
+
 // GroupThreshold returns group g's current spin-down threshold, with
 // ok = false when the group's policy is not tunable (any spin kind but
 // SpinTailAware).
 func (a *Actuator) GroupThreshold(g int) (float64, bool) {
-	if g < 0 || g >= len(a.tuners) || a.tuners[g] == nil {
+	if g < 0 || g >= len(a.tuners) {
 		return 0, false
 	}
 	return a.tuners[g].T, true
@@ -85,10 +91,10 @@ func (a *Actuator) GroupThreshold(g int) (float64, bool) {
 // applies from each disk's next idle-period arming. Only SpinTailAware
 // groups are tunable.
 func (a *Actuator) SetGroupThreshold(g int, seconds float64) (float64, error) {
-	if g < 0 || g >= len(a.tuners) {
-		return 0, fmt.Errorf("farm: group %d outside the %d-group farm", g, len(a.tuners))
+	if g < 0 || g >= a.NumGroups() {
+		return 0, fmt.Errorf("farm: group %d outside the %d-group farm", g, a.NumGroups())
 	}
-	if a.tuners[g] == nil {
+	if a.tuners == nil {
 		return 0, fmt.Errorf("farm: group %d spin policy is not tunable (use SpinTailAware)", g)
 	}
 	if seconds < 0 || math.IsNaN(seconds) {
@@ -131,7 +137,7 @@ func (a *Actuator) WhatIf(spec Spec) (*Metrics, error) {
 	if spec.Control != nil {
 		return nil, fmt.Errorf("farm %s: a what-if replay runs open-loop — strip Control", spec.Name)
 	}
-	return run(spec, a.seed, pointStages{}, nil)
+	return simulate(spec, a.seed, pointStages{}, nil, 0, nil)
 }
 
 // setWorkloadRate applies the AxisArrivalRate rewrite to a spec:
@@ -180,8 +186,8 @@ func WorkloadRate(spec Spec) (float64, error) {
 // GroupParams returns the drive model of each of the spec's disk
 // groups — one default-drive group for homogeneous farms. This is the
 // single source of truth controllers plan against (internal/control
-// scores gap energies with it), matching exactly what RunStream wires
-// into the simulated disks.
+// scores gap energies with it), matching exactly what the simulation
+// body wires into the simulated disks.
 func GroupParams(s Spec) []disk.Params {
 	if len(s.Groups) == 0 {
 		return []disk.Params{disk.DefaultParams()}
@@ -193,44 +199,9 @@ func GroupParams(s Spec) []disk.Params {
 	return out
 }
 
-// groupLayout expands the spec's groups into a disk→group map and the
-// per-group drive parameters (one group of default drives for
-// homogeneous farms).
-func (s Spec) groupLayout(farmSize int) (groupOf []int, params []disk.Params) {
-	groupOf = make([]int, farmSize)
-	params = GroupParams(s)
-	if len(s.Groups) == 0 {
-		return groupOf, params
-	}
-	d := 0
-	for g, grp := range s.Groups {
-		for i := 0; i < grp.Count; i++ {
-			groupOf[d] = g
-			d++
-		}
-	}
-	return groupOf, params
-}
-
-// streamSpinConfig is spinConfig plus the per-group tunables of a
-// streamed run: SpinTailAware farms get one shared policy.Tunable per
-// disk group (so one Set moves the whole group); every other spin kind
-// keeps its static configuration and reports nil knobs.
-func (s Spec) streamSpinConfig(perDisk []disk.Params, seed int64, groupOf []int, groupParams []disk.Params) (threshold float64, factory func(int) disk.SpinPolicy, tuners []*policy.Tunable, err error) {
-	tuners = make([]*policy.Tunable, len(groupParams))
-	if s.Spin.Kind != SpinTailAware {
-		threshold, factory, err = s.spinConfig(perDisk, seed)
-		return threshold, factory, tuners, err
-	}
-	for g := range tuners {
-		tuners[g] = policy.NewTunable(groupParams[g], s.Spin.Threshold)
-	}
-	return 0, func(i int) disk.SpinPolicy { return tuners[groupOf[i]] }, tuners, nil
-}
-
 // RunStream executes the spec like Run while emitting a telemetry
 // Window to sink every epoch simulated seconds, with an Actuator for
-// mid-run control. It is the observe→actuate seam controlled runs are
+// mid-run control. It is the observe→actuate seam controllers are
 // built on; with a nil or do-nothing sink it returns exactly Run's
 // Metrics. Controlled specs must be stripped first — the controller
 // interpretation lives in internal/control, not here.
@@ -238,53 +209,8 @@ func RunStream(spec Spec, seed int64, epoch float64, sink StreamSink) (*Metrics,
 	if spec.Control != nil {
 		return nil, fmt.Errorf("farm %s: RunStream runs the telemetry seam only — strip Control (internal/control interprets it)", spec.Name)
 	}
-	tr, alloc, err := prepare(spec, seed, pointStages{})
-	if err != nil {
-		return nil, err
+	if sink == nil {
+		sink = func(*Window, *Actuator) error { return nil }
 	}
-	farmSize, perDisk, err := resolveFarmSize(spec, alloc)
-	if err != nil {
-		return nil, err
-	}
-	groupOf, groupParams := spec.groupLayout(farmSize)
-	threshold, factory, tuners, err := spec.streamSpinConfig(perDisk, seed+2, groupOf, groupParams)
-	if err != nil {
-		return nil, err
-	}
-	act := &Actuator{
-		tuners: tuners,
-		live:   spec,
-		tr:     tr,
-		farm:   farmSize,
-		seed:   seed,
-	}
-	res, err := storage.RunStreamParallel(tr, alloc.Assign, storage.Config{
-		NumDisks:      farmSize,
-		PerDisk:       perDisk,
-		IdleThreshold: threshold,
-		PolicyFactory: factory,
-		CacheBytes:    spec.CacheBytes,
-		WriteBestFit:  spec.WriteBestFit,
-		Reliability:   spec.reliabilityConfig(seed),
-		Obs:           CurrentRunObserver(),
-	}, storage.StreamConfig{
-		Epoch:   epoch,
-		GroupOf: groupOf,
-		OnWindow: func(w *Window, ctl *storage.RunControl) error {
-			act.ctl = ctl
-			for g := range w.Groups {
-				if t, ok := act.GroupThreshold(g); ok {
-					w.Groups[g].Threshold = t
-				}
-			}
-			if sink == nil {
-				return nil
-			}
-			return sink(w, act)
-		},
-	}, storage.ParallelConfig{Workers: SimWorkers(), Label: spec.Name})
-	if err != nil {
-		return nil, fmt.Errorf("farm %s: simulation: %w", spec.Name, err)
-	}
-	return assembleMetrics(spec, seed, farmSize, alloc, res), nil
+	return simulate(spec, seed, pointStages{}, runObserver.Load(), epoch, sink)
 }

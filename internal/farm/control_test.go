@@ -190,7 +190,8 @@ func TestActuatorThresholds(t *testing.T) {
 }
 
 // A controlled spec must refuse the raw seam and, without a registered
-// runner, refuse Run (the farm package itself registers none).
+// controller factory, refuse Run (the farm package itself registers
+// none).
 func TestControlledSpecNeedsRunner(t *testing.T) {
 	spec := streamSpec()
 	spec.Control = &ControlSpec{Controller: "tail-budget", Epoch: 100}
@@ -200,9 +201,9 @@ func TestControlledSpecNeedsRunner(t *testing.T) {
 	if _, err := RunStream(spec, 1, 100, nil); err == nil {
 		t.Error("RunStream accepted a controlled spec")
 	}
-	if controlRunner == nil {
+	if buildController == nil {
 		if _, err := Run(spec, 1); err == nil {
-			t.Error("Run accepted a controlled spec with no registered runner")
+			t.Error("Run accepted a controlled spec with no registered controller")
 		}
 	}
 }

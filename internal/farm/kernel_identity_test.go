@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	_ "diskpack/internal/control" // registers controlled-* scenarios and the control runner
+	_ "diskpack/internal/control" // registers controlled-* scenarios and the controller sink factory
 	"diskpack/internal/farm"
 	"diskpack/internal/sim"
 )

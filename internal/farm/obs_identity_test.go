@@ -97,14 +97,20 @@ func TestObserverDoesNotPerturbMetrics(t *testing.T) {
 // TestObserverDoesNotPerturbSweeps extends the observation-only
 // guarantee to the multi-run paths: with a metrics observer installed
 // globally (what -metrics-addr does — the file sinks are single-run),
-// a sweep run directly, through shard/merge, and through a loopback
-// coordinator pool all reproduce the bare RunSweep result exactly.
+// a threshold sweep and the controller grid, run directly, through
+// shard/merge, and through a loopback coordinator pool, all reproduce
+// the bare RunSweep result exactly.
 func TestObserverDoesNotPerturbSweeps(t *testing.T) {
-	sweep := farm.Sweep{
+	for _, sweep := range []farm.Sweep{{
 		Name: "obs-sweep",
 		Base: lookupSpec(t, "hetero"),
 		Axes: []farm.Axis{{Kind: farm.AxisSpinThreshold, Values: []float64{30, 120, 600}}},
+	}, controllerGrid(t)} {
+		t.Run(sweep.Name, func(t *testing.T) { observedSweepsMatch(t, sweep) })
 	}
+}
+
+func observedSweepsMatch(t *testing.T, sweep farm.Sweep) {
 	bare, err := farm.RunSweep(sweep, 9, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 	"runtime"
 	"testing"
 
-	"diskpack/internal/control" // registers controlled-* scenarios and the control runner
+	"diskpack/internal/control" // registers controlled-* scenarios and the controller sink factory
 	"diskpack/internal/disk"
 	"diskpack/internal/farm"
 	"diskpack/internal/storage"

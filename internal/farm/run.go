@@ -191,10 +191,13 @@ func (s Spec) allocate(tr *trace.Trace, seed int64) (*Allocation, error) {
 }
 
 // spinConfig maps the spin spec onto storage.Config fields. perDisk is
-// the heterogeneous parameter slice (nil for homogeneous farms);
-// adaptive and randomized policies are centred on each disk's own
-// break-even time.
-func (s Spec) spinConfig(perDisk []disk.Params, seed int64) (threshold float64, factory func(int) disk.SpinPolicy, err error) {
+// the heterogeneous parameter slice and groupOf its disk→group map
+// (both nil for homogeneous farms); adaptive and randomized policies
+// are centred on each disk's own break-even time. SpinTailAware farms
+// share one policy.Tunable per disk group, returned as tuners, so one
+// Set moves the whole group; a knob nobody retunes is a fixed threshold
+// at its initial value. Every other kind returns nil tuners.
+func (s Spec) spinConfig(perDisk []disk.Params, seed int64, groupOf []int) (threshold float64, factory func(int) disk.SpinPolicy, tuners []*policy.Tunable, err error) {
 	paramsAt := func(i int) disk.Params {
 		if len(perDisk) > 0 {
 			return perDisk[i]
@@ -203,27 +206,33 @@ func (s Spec) spinConfig(perDisk []disk.Params, seed int64) (threshold float64, 
 	}
 	switch s.Spin.Kind {
 	case SpinBreakEven:
-		return storage.BreakEven, nil, nil
+		return storage.BreakEven, nil, nil, nil
 	case SpinFixed:
-		return s.Spin.Threshold, nil, nil
+		return s.Spin.Threshold, nil, nil, nil
 	case SpinNever:
-		return disk.NeverSpinDown, nil, nil
+		return disk.NeverSpinDown, nil, nil, nil
 	case SpinImmediate:
-		return 0, nil, nil
+		return 0, nil, nil, nil
 	case SpinAdaptive:
-		return 0, func(i int) disk.SpinPolicy { return policy.NewAdaptive(paramsAt(i)) }, nil
+		return 0, func(i int) disk.SpinPolicy { return policy.NewAdaptive(paramsAt(i)) }, nil, nil
 	case SpinRandomized:
-		return 0, func(i int) disk.SpinPolicy { return policy.NewRandomized(paramsAt(i), seed+int64(i)) }, nil
+		return 0, func(i int) disk.SpinPolicy { return policy.NewRandomized(paramsAt(i), seed+int64(i)) }, nil, nil
 	case SpinTailAware:
-		// Un-controlled runs behave as a fixed threshold at the initial
-		// value; RunStream installs the shared per-group knobs instead.
-		return 0, func(i int) disk.SpinPolicy { return policy.NewTunable(paramsAt(i), s.Spin.Threshold) }, nil
+		for _, p := range GroupParams(s) {
+			tuners = append(tuners, policy.NewTunable(p, s.Spin.Threshold))
+		}
+		return 0, func(i int) disk.SpinPolicy {
+			if groupOf == nil {
+				return tuners[0]
+			}
+			return tuners[groupOf[i]]
+		}, tuners, nil
 	case SpinCycleBudget:
 		return 0, func(i int) disk.SpinPolicy {
 			return policy.NewCycleBudget(paramsAt(i), s.Spin.Threshold, s.Spin.CycleBudget)
-		}, nil
+		}, nil, nil
 	default:
-		return 0, nil, fmt.Errorf("farm: unknown spin kind %d", int(s.Spin.Kind))
+		return 0, nil, nil, fmt.Errorf("farm: unknown spin kind %d", int(s.Spin.Kind))
 	}
 }
 
@@ -247,15 +256,13 @@ func (s Spec) reliabilityConfig(seed int64) *storage.ReliabilityConfig {
 }
 
 // resolveFarmSize settles the simulated farm size against the
-// allocation and the spec's layout, returning the heterogeneous
-// per-disk parameter slice (nil for homogeneous farms).
-func resolveFarmSize(spec Spec, alloc *Allocation) (int, []disk.Params, error) {
+// allocation and the spec's layout.
+func resolveFarmSize(spec Spec, alloc *Allocation) (int, error) {
 	farmSize := alloc.DisksUsed
-	perDisk := spec.perDiskParams()
-	if len(perDisk) > 0 {
-		farmSize = len(perDisk)
+	if len(spec.Groups) > 0 {
+		farmSize = spec.groupTotal()
 		if alloc.DisksUsed > farmSize {
-			return 0, nil, fmt.Errorf("farm %s: allocation uses %d disks but groups provide only %d",
+			return 0, fmt.Errorf("farm %s: allocation uses %d disks but groups provide only %d",
 				spec.Name, alloc.DisksUsed, farmSize)
 		}
 	} else if spec.FarmSize > farmSize {
@@ -264,7 +271,7 @@ func resolveFarmSize(spec Spec, alloc *Allocation) (int, []disk.Params, error) {
 	if farmSize < 1 {
 		farmSize = 1
 	}
-	return farmSize, perDisk, nil
+	return farmSize, nil
 }
 
 // assembleMetrics folds a simulation result into the unified Metrics.
@@ -309,57 +316,74 @@ func assembleMetrics(spec Spec, seed int64, farmSize int, alloc *Allocation, res
 	return m
 }
 
-// controlRunner executes controlled specs (Spec.Control != nil). The
-// farm engine cannot depend on internal/control — control sits above
-// it — so control registers its executor here at init time, and Run
-// dispatches through the hook. Every grid executor (sweeps, shards,
-// the coordinator) funnels through Run, so registering once makes
-// controlled specs first-class everywhere.
-var controlRunner func(Spec, int64) (*Metrics, error)
+// buildController turns a controlled spec (Spec.Control != nil) into
+// the window sink its controller runs as. The farm engine cannot
+// depend on internal/control — control sits above it — so control
+// registers the factory here at init time. A controlled run is the
+// stripped spec run windowed with that sink, through the same body as
+// every other run, so sweeps, shards and the coordinator execute
+// controlled specs unchanged.
+var buildController func(Spec) (StreamSink, error)
 
-// RegisterControlRunner installs the executor for controlled specs
-// (called by internal/control's init).
-func RegisterControlRunner(fn func(Spec, int64) (*Metrics, error)) { controlRunner = fn }
+// RegisterController installs the factory of controlled specs' window
+// sinks (called by internal/control's init).
+func RegisterController(fn func(Spec) (StreamSink, error)) { buildController = fn }
 
 // Run compiles the spec into a simulation and executes it. It is a pure
 // function of (spec, seed): the same inputs always produce identical
-// Metrics. Controlled specs (Spec.Control != nil) dispatch to the
-// closed-loop executor internal/control registers; everything else
-// runs open-loop here.
+// Metrics. A controlled spec (Spec.Control != nil) runs windowed at its
+// epoch under the sink internal/control builds for its controller;
+// everything else runs open-loop.
 func Run(spec Spec, seed int64) (*Metrics, error) {
-	return run(spec, seed, pointStages{}, CurrentRunObserver())
+	return run(spec, seed, pointStages{}, runObserver.Load())
 }
 
-// run is Run, drawing an open-loop spec's stage outputs from the given
-// source and publishing to o (nil: unobserved). Each public entry reads
-// the process-wide observer once and hands it down, so a what-if
-// replay nested inside an observed run (Actuator.WhatIf) publishes
-// nothing into that run's sinks.
+// run is Run, drawing the spec's stage outputs from the given source
+// and publishing to o (nil: unobserved).
 func run(spec Spec, seed int64, from pointStages, o *obs.RunObserver) (*Metrics, error) {
-	if spec.Control != nil {
-		if err := spec.Validate(); err != nil {
-			return nil, err
-		}
-		if controlRunner == nil {
-			return nil, fmt.Errorf("farm %s: spec asks for controller %q but no control runner is registered (import internal/control)",
-				spec.Name, spec.Control.Controller)
-		}
-		return controlRunner(spec, seed)
+	cs := spec.Control
+	if cs == nil {
+		return simulate(spec, seed, from, o, 0, nil)
 	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if buildController == nil {
+		return nil, fmt.Errorf("farm %s: spec asks for controller %q but no controller is registered (import internal/control)",
+			spec.Name, cs.Controller)
+	}
+	sink, err := buildController(spec)
+	if err != nil {
+		return nil, err
+	}
+	spec.Control = nil
+	return simulate(spec, seed, from, o, cs.Epoch, sink)
+}
+
+// simulate is the one simulation body under Run, RunStream,
+// CompiledSweep.RunPoint, controlled specs and Actuator.WhatIf: it
+// prepares the stages, sizes the farm, wires the spin policies, runs
+// the storage kernel and assembles Metrics. A nil sink runs open-loop;
+// otherwise the run is windowed every epoch seconds and sink sees each
+// window with an Actuator. The run publishes to o (nil: unobserved),
+// which the public entry read, so a what-if replay nested inside an
+// observed run publishes nothing into that run's sinks.
+func simulate(spec Spec, seed int64, from pointStages, o *obs.RunObserver, epoch float64, sink StreamSink) (*Metrics, error) {
 	tr, alloc, err := prepare(spec, seed, from)
 	if err != nil {
 		return nil, err
 	}
 	defer from.release()
-	farmSize, perDisk, err := resolveFarmSize(spec, alloc)
+	farmSize, err := resolveFarmSize(spec, alloc)
 	if err != nil {
 		return nil, err
 	}
-	threshold, factory, err := spec.spinConfig(perDisk, seed+2)
+	perDisk, groupOf := spec.layout()
+	threshold, factory, tuners, err := spec.spinConfig(perDisk, seed+2, groupOf)
 	if err != nil {
 		return nil, err
 	}
-	res, err := storage.RunParallel(tr, alloc.Assign, storage.Config{
+	cfg := storage.Config{
 		NumDisks:      farmSize,
 		PerDisk:       perDisk,
 		IdleThreshold: threshold,
@@ -368,7 +392,27 @@ func run(spec Spec, seed int64, from pointStages, o *obs.RunObserver) (*Metrics,
 		WriteBestFit:  spec.WriteBestFit,
 		Reliability:   spec.reliabilityConfig(seed),
 		Obs:           o,
-	}, storage.ParallelConfig{Workers: SimWorkers(), Label: spec.Name})
+	}
+	par := storage.ParallelConfig{Workers: SimWorkers(), Label: spec.Name}
+	var res *storage.Results
+	if sink == nil {
+		res, err = storage.RunParallel(tr, alloc.Assign, cfg, par)
+	} else {
+		act := &Actuator{tuners: tuners, live: spec, tr: tr, farm: farmSize, seed: seed, o: o}
+		res, err = storage.RunStreamParallel(tr, alloc.Assign, cfg, storage.StreamConfig{
+			Epoch:   epoch,
+			GroupOf: groupOf,
+			OnWindow: func(w *Window, ctl *storage.RunControl) error {
+				act.ctl = ctl
+				for g := range w.Groups {
+					if t, ok := act.GroupThreshold(g); ok {
+						w.Groups[g].Threshold = t
+					}
+				}
+				return sink(w, act)
+			},
+		}, par)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("farm %s: simulation: %w", spec.Name, err)
 	}

@@ -330,8 +330,8 @@ func (s SpinSpec) validate() error {
 
 // ControlSpec asks for a closed-loop run: the simulation is windowed
 // into Epoch-length telemetry snapshots and the named controller
-// (resolved by internal/control through the runner registered with
-// RegisterControlRunner) observes each window and actuates — retuning
+// (resolved by internal/control through the factory registered with
+// RegisterController) observes each window and actuates — retuning
 // SpinTailAware group thresholds, re-planning the allocation against
 // the observed arrival rate, or re-placing files by the rates measured
 // over the window. It is pure data, so controlled
@@ -449,8 +449,9 @@ type Spec struct {
 	WriteBestFit bool `json:",omitempty"`
 	// Control, when non-nil, runs the scenario closed-loop: windowed
 	// telemetry feeds the named online controller (internal/control),
-	// which actuates at epoch boundaries. Run dispatches such specs to
-	// the registered control runner.
+	// which actuates at epoch boundaries. Run executes such specs like
+	// any other, windowed, with the sink the registered factory
+	// returns for the controller.
 	Control *ControlSpec `json:",omitempty"`
 	// Reliability, when non-nil, adds wear-driven disk failures and
 	// rebuild traffic to the run.
@@ -536,17 +537,20 @@ func (s Spec) ReferenceParams() disk.Params {
 	return ref
 }
 
-// perDiskParams expands Groups into a per-disk parameter slice, or nil
-// for a homogeneous farm.
-func (s Spec) perDiskParams() []disk.Params {
+// layout expands Groups into per-disk drive parameters and a
+// disk→group map, both nil for a homogeneous farm (every disk a
+// default drive in group 0).
+func (s Spec) layout() (perDisk []disk.Params, groupOf []int) {
 	if len(s.Groups) == 0 {
-		return nil
+		return nil, nil
 	}
-	out := make([]disk.Params, 0, s.groupTotal())
-	for _, g := range s.Groups {
-		for i := 0; i < g.Count; i++ {
-			out = append(out, g.Params)
+	n := s.groupTotal()
+	perDisk, groupOf = make([]disk.Params, 0, n), make([]int, 0, n)
+	for g, grp := range s.Groups {
+		for range grp.Count {
+			perDisk = append(perDisk, grp.Params)
+			groupOf = append(groupOf, g)
 		}
 	}
-	return out
+	return perDisk, groupOf
 }

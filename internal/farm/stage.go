@@ -12,11 +12,12 @@ import (
 
 // Every executor runs a spec through the same two input stages before
 // it simulates anything: BuildTrace at the point seed, then allocate at
-// seed+1. prepare is that prologue, shared by Run, RunStream, Plan and
-// CompiledSweep.RunPoint. Inside a compiled sweep the stages are
-// memoized under exact keys, so points whose stage inputs are equal —
-// every point of a threshold, cache or farm-size axis — share one
-// synthesis and one packing instead of repeating them.
+// seed+1. prepare is that prologue, shared by Plan and the simulation
+// body under Run, RunStream and CompiledSweep.RunPoint. Inside a
+// compiled sweep the stages are memoized under exact keys, so points
+// whose stage inputs are equal — every point of a threshold, cache,
+// farm-size or controller axis — share one synthesis and one packing
+// instead of repeating them.
 
 // stageKeys name a point's two stage outputs within its compiled sweep:
 // equal keys mean equal stage inputs. Keys are dense IDs in order of
@@ -47,8 +48,8 @@ type allocInputs struct {
 }
 
 // keyStages assigns every point its stage keys in one pass over the
-// grid. Controlled points build their own stages through the control
-// runner, so each gets keys no other point shares.
+// grid. Controlled points share stages like any other: a controller
+// starts from its spec's trace and allocation.
 func keyStages(points []Point, seed int64) []stageKeys {
 	traceIDs := make(map[traceInputs]int)
 	allocIDs := make(map[allocInputs]int)
@@ -56,12 +57,6 @@ func keyStages(points []Point, seed int64) []stageKeys {
 	keys := make([]stageKeys, len(points))
 	for i := range points {
 		spec := &points[i].Spec
-		if spec.Control != nil {
-			keys[i] = stageKeys{trace: traces, alloc: allocs}
-			traces++
-			allocs++
-			continue
-		}
 		tk := idOf(traceIDs, traceInputs{workload: spec.Workload, seed: seed + points[i].SeedOffset}, &traces)
 		ai := allocInputs{
 			trace:     tk,

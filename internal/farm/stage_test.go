@@ -54,7 +54,8 @@ func TestStageKeysByAxis(t *testing.T) {
 		{"cache", testSpec(), Axis{Kind: AxisCacheBytes, Values: []float64{0, 1e9}}, true, true},
 		{"farm", testSpec(), Axis{Kind: AxisFarmSize, Values: []float64{8, 12}}, true, true},
 		{"control static", controlled, Axis{Kind: AxisController, Names: []string{"static", "none"}}, true, true},
-		{"control", controlled, Axis{Kind: AxisController, Names: []string{"tail-budget", "tail-budget"}}, false, false},
+		{"control", controlled, Axis{Kind: AxisController, Names: []string{"tail-budget", "tail-budget"}}, true, true},
+		{"control beside static", controlled, Axis{Kind: AxisController, Names: []string{"static", "tail-budget"}}, true, true},
 		{"L", testSpec(), Axis{Kind: AxisCapL, Values: []float64{0.5, 0.7}}, true, false},
 		{"v", testSpec(), Axis{Kind: AxisPackV, Values: []float64{1, 2}}, true, false},
 		{"alloc", testSpec(), Axis{Kind: AxisAllocKind, Values: []float64{float64(AllocPack), float64(AllocFirstFit)}}, true, false},

@@ -100,7 +100,7 @@ func (c *CompiledSweep) RunPoint(i int) (ShardPointResult, error) {
 		return ShardPointResult{}, fmt.Errorf("farm: point %d outside the %d-point grid", i, len(c.points))
 	}
 	p := &c.points[i]
-	o := CurrentRunObserver()
+	o := runObserver.Load()
 	res := ShardPointResult{Index: i, Label: p.Label}
 	from := pointStages{traces: &c.traces, allocs: &c.allocs, keys: c.keys[i]}
 	var err error

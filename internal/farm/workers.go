@@ -5,14 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// simWorkers is the process-wide shard count every farm.Run /
-// farm.RunStream passes to the storage kernel. It is plumbing, not
-// policy: results are byte-identical at any value (the kernel proves
-// it — see storage.ShardBlocker and the parallel identity tests), so
-// the setting only trades wall-clock for goroutines. Zero means
-// "unset" and resolves to 1 (sequential), keeping single-threaded
-// behavior the default for library users, tests, and the sweep pool,
-// whose workers already saturate cores on grid runs.
+// simWorkers is the process-wide shard count the simulation body
+// passes to the storage kernel. It is plumbing, not policy: results
+// are byte-identical at any value (the kernel proves it — see
+// storage.ShardBlocker and the parallel identity tests), so the
+// setting only trades wall-clock for goroutines. Zero means "unset"
+// and resolves to 1 (sequential), keeping single-threaded behavior the
+// default for library users, tests, and the sweep pool, whose workers
+// already saturate cores on grid runs.
 var simWorkers atomic.Int32
 
 // SetSimWorkers sets how many worker goroutines each simulation shards

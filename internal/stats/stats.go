@@ -1,9 +1,9 @@
 // Package stats provides the streaming statistics used by the disk-farm
 // simulator and the experiment harness: numerically stable moments
-// (Welford), exact and histogram-based quantiles, time-weighted
-// averages for quantities like queue length, and a simple least-squares
-// line fit used to verify the log-log linearity of the synthesized NERSC
-// file-size distribution (paper Section 5.1).
+// (Welford), exact quantiles over retained samples, and the log-binned
+// histogram and least-squares line fit used to verify the log-log
+// linearity of the synthesized NERSC file-size distribution (paper
+// Section 5.1).
 package stats
 
 import (
@@ -219,99 +219,6 @@ func SortedQuantile(xs []float64, q float64) float64 {
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
-// TimeWeighted integrates a piecewise-constant signal over simulated
-// time: call Set at each change and Finish at the end of the run. The
-// simulator uses it for average queue length and average active-disk
-// count.
-type TimeWeighted struct {
-	lastT    float64
-	value    float64
-	integral float64
-	started  bool
-	startT   float64
-}
-
-// Set records that the signal takes value v from time t onward. Calls
-// must have nondecreasing t.
-func (tw *TimeWeighted) Set(t, v float64) {
-	if !tw.started {
-		tw.started = true
-		tw.startT = t
-	} else {
-		if t < tw.lastT {
-			panic(fmt.Sprintf("stats: TimeWeighted.Set time went backwards: %v < %v", t, tw.lastT))
-		}
-		tw.integral += tw.value * (t - tw.lastT)
-	}
-	tw.lastT = t
-	tw.value = v
-}
-
-// Integral returns the integral of the signal up to time t (extending
-// the most recent value).
-func (tw *TimeWeighted) Integral(t float64) float64 {
-	if !tw.started {
-		return 0
-	}
-	if t < tw.lastT {
-		panic(fmt.Sprintf("stats: TimeWeighted.Integral(%v) before last Set(%v)", t, tw.lastT))
-	}
-	return tw.integral + tw.value*(t-tw.lastT)
-}
-
-// Average returns the time-weighted mean of the signal over
-// [start, t].
-func (tw *TimeWeighted) Average(t float64) float64 {
-	if !tw.started || t <= tw.startT {
-		return 0
-	}
-	return tw.Integral(t) / (t - tw.startT)
-}
-
-// Histogram is a fixed-width linear-bin histogram over [lo, hi);
-// observations outside the range land in saturating edge bins.
-type Histogram struct {
-	lo, width float64
-	counts    []int64
-	total     int64
-}
-
-// NewHistogram returns a histogram with bins equal-width bins spanning
-// [lo, hi). It panics unless hi > lo and bins >= 1.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) bins=%d", lo, hi, bins))
-	}
-	return &Histogram{lo: lo, width: (hi - lo) / float64(bins), counts: make([]int64, bins)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.total }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.counts[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.width
-}
-
 // LogHistogram buckets positive observations into logarithmically spaced
 // bins over [lo, hi). The paper classifies the 88,631 NERSC files into 80
 // size bins this way before checking Zipf linearity in log-log scale.
@@ -363,19 +270,6 @@ func (h *LogHistogram) Bin(i int) int64 { return h.counts[i] }
 // BinCenter returns the geometric midpoint of bin i.
 func (h *LogHistogram) BinCenter(i int) float64 {
 	return math.Exp(h.logLo + (float64(i)+0.5)*h.logW)
-}
-
-// Proportions returns each bin's share of the total (empty histogram
-// yields all zeros).
-func (h *LogHistogram) Proportions() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
 }
 
 // LinearFit is an ordinary least-squares fit y = Slope*x + Intercept
