@@ -496,21 +496,21 @@ func WriteSpanTrace(w io.Writer, logs []SpanLog) error {
 			t0 = l.Header.StartUnixNano
 		}
 	}
-	return writeChromeTrace(w, func(emit func(chromeEvent) error) error {
-		return renderSpans(merged, t0, emit)
+	return writeChromeTrace(w, func(e *traceEncoder) error {
+		return renderSpans(merged, t0, e)
 	})
 }
 
 // renderSpans emits merged span logs as Chrome-trace events: one
 // process, one thread per track, then every span in merged order; t0
 // is the merged origin in Unix nanoseconds.
-func renderSpans(merged []SpanLog, t0 int64, emit func(chromeEvent) error) error {
-	if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: sweepPid,
+func renderSpans(merged []SpanLog, t0 int64, e *traceEncoder) error {
+	if err := e.event(&chromeEvent{Name: "process_name", Ph: "M", Pid: sweepPid,
 		Args: map[string]any{"name": "sweep"}}); err != nil {
 		return err
 	}
 	for tid, l := range merged {
-		if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: sweepPid, Tid: tid,
+		if err := e.event(&chromeEvent{Name: "thread_name", Ph: "M", Pid: sweepPid, Tid: tid,
 			Args: map[string]any{"name": l.Header.Role + ":" + l.Header.Track}}); err != nil {
 			return err
 		}
@@ -544,7 +544,7 @@ func renderSpans(merged []SpanLog, t0 int64, emit func(chromeEvent) error) error
 				ce.Ph = "i"
 				ce.S = "t"
 			}
-			if err := emit(ce); err != nil {
+			if err := e.event(&ce); err != nil {
 				return err
 			}
 		}

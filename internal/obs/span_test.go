@@ -265,6 +265,15 @@ func TestWriteSpanTrace(t *testing.T) {
 	if grants != 1 || instants != 1 {
 		t.Errorf("grants=%d instants=%d", grants, instants)
 	}
+
+	// A span log read back from disk can carry a Start whose ts
+	// overflows to +Inf, which JSON cannot hold: the merge must fail.
+	huge := makeLog("w2", "worker",
+		Span{ID: "h", Point: 1, Attempt: 1, Phase: "point", Status: SpanOK, Start: 1e303, End: 1e303})
+	buf.Reset()
+	if err := WriteSpanTrace(&buf, []SpanLog{co, huge}); err == nil {
+		t.Errorf("a span at Start 1e303 rendered without error:\n%s", buf.Bytes())
+	}
 }
 
 func TestSpanIDStability(t *testing.T) {

@@ -1,10 +1,13 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 )
 
 // State-timeline tracing. A TraceRecorder accumulates two kinds of
@@ -51,6 +54,35 @@ type statePoint struct {
 	state uint8
 }
 
+// Timeline chunk capacities, in points: a track's first chunk holds
+// firstChunk points and each later one twice its predecessor, up to
+// maxChunk (64 KiB).
+const (
+	firstChunk = 4
+	maxChunk   = 4096
+)
+
+// timeline is one track's state points, in order, stored in chunks
+// that are never copied once allocated. Recording n points allocates
+// about n points' worth of memory; a single appended slice would
+// allocate several times that across its regrowths and copy every
+// point each time.
+type timeline [][]statePoint
+
+// add appends p, opening a new chunk when the last one is full.
+func (t *timeline) add(p statePoint) {
+	n := len(*t)
+	if n == 0 || len((*t)[n-1]) == cap((*t)[n-1]) {
+		size := firstChunk
+		if n > 0 {
+			size = min(2*cap((*t)[n-1]), maxChunk)
+		}
+		*t = append(*t, make([]statePoint, 0, size))
+		n++
+	}
+	(*t)[n-1] = append((*t)[n-1], p)
+}
+
 // TraceRecorder accumulates state timelines and run-level events. All
 // methods are safe on a nil receiver (the disabled path records
 // nothing). StateChange calls for one track must come from a single
@@ -59,7 +91,7 @@ type statePoint struct {
 // at boundaries with every shard parked).
 type TraceRecorder struct {
 	stateNames []string
-	tracks     [][]statePoint
+	tracks     []timeline
 	events     []TraceEvent
 	horizon    float64
 }
@@ -74,7 +106,7 @@ func (r *TraceRecorder) InitTracks(n int, stateNames []string) {
 		return
 	}
 	r.stateNames = append([]string(nil), stateNames...)
-	r.tracks = make([][]statePoint, n)
+	r.tracks = make([]timeline, n)
 }
 
 // StateChange records that track entered state at time at (simulated
@@ -84,7 +116,7 @@ func (r *TraceRecorder) StateChange(track int, at float64, state int) {
 	if r == nil || track < 0 || track >= len(r.tracks) {
 		return
 	}
-	r.tracks[track] = append(r.tracks[track], statePoint{at: at, state: uint8(state)})
+	r.tracks[track].add(statePoint{at: at, state: uint8(state)})
 }
 
 // Emit appends one run-level event. No-op on nil.
@@ -115,9 +147,10 @@ func (r *TraceRecorder) Events() []TraceEvent {
 	return r.events
 }
 
-// chromeEvent is the JSON shape of one Chrome-trace event. Fields
-// marshal in declaration order and Args maps render with sorted keys,
-// so serialization is deterministic.
+// chromeEvent is the JSON shape of one Chrome-trace event: appendEvent
+// writes it byte for byte as encoding/json marshals it (FuzzChromeEvent
+// holds the two equal) — fields in declaration order, Args keys sorted
+// — so serialization is deterministic.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
@@ -146,46 +179,206 @@ func (r *TraceRecorder) WriteChromeTrace(w io.Writer) error {
 }
 
 // writeChromeTrace writes the Chrome-trace container — the run trace
-// and the sweep-span trace alike — around the events render emits,
-// marshalling one chromeEvent per event.
-func writeChromeTrace(w io.Writer, render func(emit func(chromeEvent) error) error) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
+// and the sweep-span trace alike — around the events render encodes.
+func writeChromeTrace(w io.Writer, render func(*traceEncoder) error) error {
+	e := &traceEncoder{w: w, buf: make([]byte, 0, traceFlushSize+traceEventSlack)}
+	e.buf = append(e.buf, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"...)
+	if err := render(e); err != nil {
 		return err
 	}
-	first := true
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
+	e.buf = append(e.buf, "\n]}\n"...)
+	return e.flush()
+}
+
+// traceFlushSize is how many encoded bytes a traceEncoder holds before
+// it writes them out; traceEventSlack is the room left past it for the
+// event that crosses it, so the buffer is allocated once.
+const (
+	traceFlushSize  = 64 << 10
+	traceEventSlack = 4 << 10
+)
+
+// traceEncoder encodes Chrome-trace events, separated by ",\n", into
+// one reused buffer and writes the buffer to w whenever it passes
+// traceFlushSize. A failed event leaves nothing in the buffer.
+type traceEncoder struct {
+	w      io.Writer
+	buf    []byte
+	events int
+}
+
+// event encodes ev as encoding/json marshals it.
+func (e *traceEncoder) event(ev *chromeEvent) error {
+	b, err := appendEvent(e.open(), ev)
+	return e.close(b, err)
+}
+
+// segment encodes one disk-state span — the chromeEvent {name, "X",
+// diskPid, tid, ts, &dur} — straight from its values.
+func (e *traceEncoder) segment(name string, tid int, ts, dur float64) error {
+	b, err := appendHead(e.open(), name, "X", diskPid, tid, ts)
+	if err == nil {
+		b, err = appendFloat(append(b, `,"dur":`...), dur)
+	}
+	return e.close(append(b, '}'), err)
+}
+
+// open returns the buffer with the next event's separator appended.
+func (e *traceEncoder) open() []byte {
+	if e.events > 0 {
+		return append(e.buf, ",\n"...)
+	}
+	return e.buf
+}
+
+// close keeps the event encoded into b, unless encoding it failed,
+// and writes the buffer out once it passes traceFlushSize.
+func (e *traceEncoder) close(b []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	e.buf = b
+	e.events++
+	if len(e.buf) >= traceFlushSize {
+		return e.flush()
+	}
+	return nil
+}
+
+// flush writes the buffer to w and empties it.
+func (e *traceEncoder) flush() error {
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return err
+}
+
+// appendEvent appends ev to b as encoding/json marshals it.
+func appendEvent(b []byte, ev *chromeEvent) ([]byte, error) {
+	b, err := appendHead(b, ev.Name, ev.Ph, ev.Pid, ev.Tid, ev.Ts)
+	if err != nil {
+		return b, err
+	}
+	if ev.Dur != nil {
+		if b, err = appendFloat(append(b, `,"dur":`...), *ev.Dur); err != nil {
+			return b, err
 		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
+	}
+	if ev.S != "" {
+		b = appendString(append(b, `,"s":`...), ev.S)
+	}
+	if len(ev.Args) > 0 {
+		if b, err = appendArgs(append(b, `,"args":`...), ev.Args); err != nil {
+			return b, err
 		}
-		first = false
-		_, err = bw.Write(b)
-		return err
 	}
-	if err := render(emit); err != nil {
-		return err
+	return append(b, '}'), nil
+}
+
+// appendHead opens an event and appends its fields through ts.
+func appendHead(b []byte, name, ph string, pid, tid int, ts float64) ([]byte, error) {
+	b = appendString(append(b, `{"name":`...), name)
+	b = appendString(append(b, `,"ph":`...), ph)
+	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
+	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
+	return appendFloat(append(b, `,"ts":`...), ts)
+}
+
+// appendArgs appends args as a JSON object with its keys sorted.
+func appendArgs(b []byte, args map[string]any) ([]byte, error) {
+	var small [8]string
+	keys := small[:0]
+	for k := range args {
+		keys = append(keys, k)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
+	slices.Sort(keys)
+	var err error
+	for i, k := range keys {
+		if i == 0 {
+			b = append(b, '{')
+		} else {
+			b = append(b, ',')
+		}
+		b = append(appendString(b, k), ':')
+		if b, err = appendValue(b, args[k]); err != nil {
+			return b, err
+		}
 	}
-	return bw.Flush()
+	return append(b, '}'), nil
+}
+
+// appendValue appends one arg value. The types the simulator records
+// are encoded here; any other value — nested maps and slices from a
+// decoded span log, say — is marshalled by encoding/json.
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case nil:
+		return append(b, "null"...), nil
+	case string:
+		return appendString(b, v), nil
+	case bool:
+		return strconv.AppendBool(b, v), nil
+	case int:
+		return strconv.AppendInt(b, int64(v), 10), nil
+	case int64:
+		return strconv.AppendInt(b, v, 10), nil
+	case float64:
+		return appendFloat(b, v)
+	}
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return b, err
+	}
+	return append(b, raw...), nil
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than
+// the characters encoding/json escapes (", \, <, >, &) — every name the
+// simulator records — is copied as is; any other string is escaped by
+// encoding/json itself, which also replaces invalid UTF-8 and escapes
+// U+2028 and U+2029.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s) // a string always marshals
+			return append(b, raw...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat appends f as encoding/json formats a float64: the
+// shortest decimal form, in exponent form below 1e-6 and from 1e21
+// with a leading zero dropped from a negative exponent (1e-07 becomes
+// 1e-7). NaN and ±Inf have no JSON form and are an error.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, fmt.Errorf("obs: trace value %s has no JSON form", strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // render walks the recording in deterministic order: metadata, then
 // per-disk span timelines in disk-ID order, then run-level events in
 // append order. A nil recorder emits nothing.
-func (r *TraceRecorder) render(emit func(chromeEvent) error) error {
+func (r *TraceRecorder) render(e *traceEncoder) error {
 	if r == nil {
 		return nil
 	}
 	meta := func(pid, tid int, kind, name string) error {
-		return emit(chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
+		return e.event(&chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
 			Args: map[string]any{"name": name}})
 	}
 	// Run-level track tids in order of first appearance in the event
@@ -219,23 +412,31 @@ func (r *TraceRecorder) render(emit func(chromeEvent) error) error {
 		if len(tl) == 0 {
 			continue
 		}
-		if err := meta(diskPid, tid, "thread_name", fmt.Sprintf("disk %d", tid)); err != nil {
+		// Not fmt: its printer pool drops entries at random under the
+		// race detector, so a render's allocation count would vary.
+		if err := meta(diskPid, tid, "thread_name", "disk "+strconv.Itoa(tid)); err != nil {
 			return err
 		}
-		for i, p := range tl {
-			end := r.horizon
-			if i+1 < len(tl) {
-				end = tl[i+1].at
-			} else if end < p.at {
-				end = p.at
+		// Each point's span ends where the next point begins; the last
+		// one ends at the horizon, or at its own start past it.
+		prev := tl[0][0]
+		for c, chunk := range tl {
+			if c == 0 {
+				chunk = chunk[1:]
 			}
-			dur := usec(end - p.at)
-			if err := emit(chromeEvent{
-				Name: r.stateName(p.state), Ph: "X", Pid: diskPid, Tid: tid,
-				Ts: usec(p.at), Dur: &dur,
-			}); err != nil {
-				return err
+			for _, p := range chunk {
+				if err := e.segment(r.stateName(prev.state), tid, usec(prev.at), usec(p.at-prev.at)); err != nil {
+					return err
+				}
+				prev = p
 			}
+		}
+		end := r.horizon
+		if end < prev.at {
+			end = prev.at
+		}
+		if err := e.segment(r.stateName(prev.state), tid, usec(prev.at), usec(end-prev.at)); err != nil {
+			return err
 		}
 	}
 
@@ -255,7 +456,7 @@ func (r *TraceRecorder) render(emit func(chromeEvent) error) error {
 			ce.Ph = "i"
 			ce.S = "g"
 		}
-		if err := emit(ce); err != nil {
+		if err := e.event(&ce); err != nil {
 			return err
 		}
 	}
