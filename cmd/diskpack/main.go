@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -22,27 +23,42 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "diskpack:", err)
+		os.Exit(1)
+	}
+}
+
+// run is one invocation: parse args, pack the trace, and write the
+// report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("diskpack", flag.ContinueOnError)
 	var (
-		tracePath = flag.String("trace", "", "input trace file (required)")
-		algo      = flag.String("algo", "pack", "allocator: pack, pack2, pack4, pack8, chp, ffd, firstfit, bestfit, random")
-		capL      = flag.Float64("L", 0.7, "load constraint as fraction of disk transfer capability")
-		farm      = flag.Int("disks", 0, "random: farm size (0 = same as pack)")
-		seed      = flag.Int64("seed", 1, "random: seed")
-		empirical = flag.Bool("empirical", false, "use measured per-file rates instead of stored ones")
-		assignOut = flag.String("assign", "", "write file→disk map (one disk number per line)")
+		tracePath = fs.String("trace", "", "input trace file (required)")
+		algo      = fs.String("algo", "pack", "allocator: pack, pack2, pack4, pack8, chp, ffd, firstfit, bestfit, random")
+		capL      = fs.Float64("L", 0.7, "load constraint as fraction of disk transfer capability")
+		farm      = fs.Int("disks", 0, "random: farm size (0 = same as pack)")
+		seed      = fs.Int64("seed", 1, "random: seed")
+		empirical = fs.Bool("empirical", false, "use measured per-file rates instead of stored ones")
+		assignOut = fs.String("assign", "", "write file→disk map (one disk number per line)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return nil
+		}
+		return err
+	}
 	if *tracePath == "" {
-		fatal(fmt.Errorf("-trace is required"))
+		return fmt.Errorf("-trace is required")
 	}
 	f, err := os.Open(*tracePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	tr, err := trace.Read(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *empirical {
 		tr.SetEmpiricalRates()
@@ -56,7 +72,7 @@ func main() {
 	}
 	items, err := core.BuildItems(sizes, rates, params.ServiceTime, params.CapacityBytes, *capL)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var a *core.Assignment
@@ -82,7 +98,7 @@ func main() {
 		if n == 0 {
 			ref, err2 := core.PackDisks(items)
 			if err2 != nil {
-				fatal(err2)
+				return err2
 			}
 			n = ref.NumDisks
 		}
@@ -91,17 +107,17 @@ func main() {
 		err = fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	lb := core.LowerBoundDisks(items)
 	rho := core.Rho(items)
-	fmt.Printf("algorithm        %s\n", *algo)
-	fmt.Printf("files            %d\n", len(items))
-	fmt.Printf("disks used       %d\n", a.NumDisks)
-	fmt.Printf("lower bound      %d\n", lb)
-	fmt.Printf("rho              %.4f\n", rho)
-	fmt.Printf("theorem-1 bound  %.1f\n", core.ApproxBound(items))
+	fmt.Fprintf(out, "algorithm        %s\n", *algo)
+	fmt.Fprintf(out, "files            %d\n", len(items))
+	fmt.Fprintf(out, "disks used       %d\n", a.NumDisks)
+	fmt.Fprintf(out, "lower bound      %d\n", lb)
+	fmt.Fprintf(out, "rho              %.4f\n", rho)
+	fmt.Fprintf(out, "theorem-1 bound  %.1f\n", core.ApproxBound(items))
 	sizesSum, loadsSum := a.Totals(items)
 	var maxS, maxL, avgS, avgL float64
 	for d := range sizesSum {
@@ -115,29 +131,26 @@ func main() {
 		avgL += loadsSum[d]
 	}
 	n := float64(a.NumDisks)
-	fmt.Printf("fill size        avg %.3f max %.3f\n", avgS/n, maxS)
-	fmt.Printf("fill load        avg %.3f max %.3f\n", avgL/n, maxL)
+	fmt.Fprintf(out, "fill size        avg %.3f max %.3f\n", avgS/n, maxS)
+	fmt.Fprintf(out, "fill load        avg %.3f max %.3f\n", avgL/n, maxL)
 
 	if *assignOut != "" {
-		out, err := os.Create(*assignOut)
+		f, err := os.Create(*assignOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		w := bufio.NewWriter(out)
+		w := bufio.NewWriter(f)
 		for _, d := range a.DiskOf {
 			fmt.Fprintln(w, d)
 		}
 		if err := w.Flush(); err != nil {
-			fatal(err)
+			f.Close()
+			return err
 		}
-		if err := out.Close(); err != nil {
-			fatal(err)
+		if err := f.Close(); err != nil {
+			return err
 		}
-		fmt.Printf("assignment       written to %s\n", *assignOut)
+		fmt.Fprintf(out, "assignment       written to %s\n", *assignOut)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "diskpack:", err)
-	os.Exit(1)
+	return nil
 }
