@@ -14,11 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 
 	"diskpack/internal/core"
-	"diskpack/internal/disk"
+	"diskpack/internal/farm"
 	"diskpack/internal/trace"
 )
 
@@ -35,9 +34,9 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("diskpack", flag.ContinueOnError)
 	var (
 		tracePath = fs.String("trace", "", "input trace file (required)")
-		algo      = fs.String("algo", "pack", "allocator: pack, pack2, pack4, pack8, chp, ffd, firstfit, bestfit, random")
+		algo      = fs.String("algo", "pack", "allocator: "+farm.AlgoNames())
 		capL      = fs.Float64("L", 0.7, "load constraint as fraction of disk transfer capability")
-		farm      = fs.Int("disks", 0, "random: farm size (0 = same as pack)")
+		disks     = fs.Int("disks", 0, "random: farm size (0 = same as pack)")
 		seed      = fs.Int64("seed", 1, "random: seed")
 		empirical = fs.Bool("empirical", false, "use measured per-file rates instead of stored ones")
 		assignOut = fs.String("assign", "", "write file→disk map (one disk number per line)")
@@ -51,73 +50,45 @@ func run(args []string, out io.Writer) error {
 	if *tracePath == "" {
 		return fmt.Errorf("-trace is required")
 	}
-	f, err := os.Open(*tracePath)
+	alloc, err := farm.ParseAlloc(*algo)
 	if err != nil {
 		return err
 	}
-	tr, err := trace.Read(f)
-	f.Close()
+	alloc.CapL = *capL
+	if alloc.Kind == farm.AllocRandom {
+		alloc.Disks = *disks
+	}
+	in, err := os.Open(*tracePath)
+	if err != nil {
+		return err
+	}
+	tr, err := trace.Read(in)
+	in.Close()
 	if err != nil {
 		return err
 	}
 	if *empirical {
 		tr.SetEmpiricalRates()
 	}
-	params := disk.DefaultParams()
-	sizes := make([]int64, len(tr.Files))
-	rates := make([]float64, len(tr.Files))
-	for i, fi := range tr.Files {
-		sizes[i] = fi.Size
-		rates[i] = fi.Rate
-	}
-	items, err := core.BuildItems(sizes, rates, params.ServiceTime, params.CapacityBytes, *capL)
+	spec := farm.Spec{Name: "diskpack", Workload: farm.TraceWorkload(tr), Alloc: alloc}
+	items, err := spec.Items(tr)
 	if err != nil {
 		return err
 	}
-
-	var a *core.Assignment
-	switch *algo {
-	case "pack":
-		a, err = core.PackDisks(items)
-	case "pack2":
-		a, err = core.PackDisksV(items, 2)
-	case "pack4":
-		a, err = core.PackDisksV(items, 4)
-	case "pack8":
-		a, err = core.PackDisksV(items, 8)
-	case "chp":
-		a, err = core.ChangHwangPark(items)
-	case "ffd":
-		a, err = core.FirstFitDecreasing(items)
-	case "firstfit":
-		a, err = core.FirstFit(items)
-	case "bestfit":
-		a, err = core.BestFit(items)
-	case "random":
-		n := *farm
-		if n == 0 {
-			ref, err2 := core.PackDisks(items)
-			if err2 != nil {
-				return err2
-			}
-			n = ref.NumDisks
-		}
-		a, err = core.RandomAssignCapacity(items, n, rand.New(rand.NewSource(*seed)))
-	default:
-		err = fmt.Errorf("unknown algorithm %q", *algo)
-	}
+	// Allocation draws at the plan seed + 1, so plan at -seed − 1 for
+	// random to draw at -seed.
+	plan, err := farm.Plan(spec, *seed-1)
 	if err != nil {
 		return err
 	}
+	a := core.Assignment{DiskOf: plan.Assign, NumDisks: plan.DisksUsed}
 
-	lb := core.LowerBoundDisks(items)
-	rho := core.Rho(items)
 	fmt.Fprintf(out, "algorithm        %s\n", *algo)
 	fmt.Fprintf(out, "files            %d\n", len(items))
 	fmt.Fprintf(out, "disks used       %d\n", a.NumDisks)
-	fmt.Fprintf(out, "lower bound      %d\n", lb)
-	fmt.Fprintf(out, "rho              %.4f\n", rho)
-	fmt.Fprintf(out, "theorem-1 bound  %.1f\n", core.ApproxBound(items))
+	fmt.Fprintf(out, "lower bound      %d\n", plan.LowerBound)
+	fmt.Fprintf(out, "rho              %.4f\n", plan.Rho)
+	fmt.Fprintf(out, "theorem-1 bound  %.1f\n", plan.Bound)
 	sizesSum, loadsSum := a.Totals(items)
 	var maxS, maxL, avgS, avgL float64
 	for d := range sizesSum {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"diskpack/internal/disk"
+	"diskpack/internal/farm"
 	"diskpack/internal/trace"
 	"diskpack/internal/workload"
 )
@@ -85,5 +87,14 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	if got != string(want) {
 		t.Errorf("output drifted from %s (regenerate with -update):\n--- got\n%s--- want\n%s", path, got, want)
+	}
+}
+
+// TestUnknownAlgo: an allocator name outside farm's vocabulary fails
+// with that vocabulary.
+func TestUnknownAlgo(t *testing.T) {
+	err := run([]string{"-trace", writeTrace(t, t.TempDir()), "-algo", "pack0"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), farm.AlgoNames()) {
+		t.Fatalf("-algo pack0: got %v, want an error listing %s", err, farm.AlgoNames())
 	}
 }

@@ -96,19 +96,29 @@ func (a *axisFlags) Set(s string) error {
 	return nil
 }
 
+// axisHelp describes each -sweep dimension, indexed by axis kind.
+var axisHelp = [...]string{
+	farm.AxisSpinThreshold: "spin-down idleness threshold, seconds",
+	farm.AxisFarmSize:      "farm size, disks",
+	farm.AxisCacheBytes:    "front LRU cache, bytes",
+	farm.AxisCapL:          "packing load constraint in (0,1]",
+	farm.AxisPackV:         "Pack_Disks_v group size",
+	farm.AxisArrivalRate:   "workload intensity, requests/s",
+	farm.AxisAllocKind:     "allocation strategy: " + farm.AllocNames(),
+	farm.AxisSeed:          "seed offset for independent replications",
+	farm.AxisController:    "online controller: " + control.KindList() + ", static (base needs -control or a controlled scenario)",
+}
+
 // gridUsage is appended to every -sweep/-select parse failure so a typo
 // always surfaces the full vocabulary, whatever path it took in.
-var gridUsage = `sweep axes (repeatable, -sweep dim=v1,v2,...):
-  threshold  spin-down idleness threshold, seconds
-  farm       farm size, disks
-  cache      front LRU cache, bytes
-  L          packing load constraint in (0,1]
-  v          Pack_Disks_v group size
-  rate       workload intensity, requests/s
-  alloc      allocation strategy: pack, packv, random, firstfit, ffd, bestfit, chp
-  seed       seed offset for independent replications
-  control    online controller: ` + control.KindList() + `, static (base needs -control or a controlled scenario)
-selectors (-select): none, knee, pareto, slo=SECONDS[,afr=RATE]`
+var gridUsage = func() string {
+	var b strings.Builder
+	b.WriteString("sweep axes (repeatable, -sweep dim=v1,v2,...):\n")
+	for k, help := range axisHelp {
+		fmt.Fprintf(&b, "  %-10s %s\n", farm.AxisKind(k), help)
+	}
+	return b.String() + "selectors (-select): " + farm.SelectorNames()
+}()
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -158,15 +168,15 @@ func (c *cli) flagSet() *flag.FlagSet {
 	fs.Bool("scenarios", false, "list registered scenarios and exit") // selects its mode; the value is never read
 	fs.StringVar(&c.tracePath, "trace", "", "input trace file (ad-hoc mode)")
 	fs.StringVar(&c.assignIn, "assign", "", "file→disk map (one disk per line); overrides -algo")
-	fs.StringVar(&c.algo, "algo", "pack", "allocator when -assign is absent: pack, pack4, random, ffd, firstfit, bestfit, chp")
+	fs.StringVar(&c.algo, "algo", "pack", "allocator when -assign is absent: "+farm.AlgoNames())
 	fs.Float64Var(&c.capL, "L", 0.7, "load constraint for packing")
 	fs.IntVar(&c.farmN, "disks", 0, "farm size (0 = as many as the allocation uses)")
-	fs.StringVar(&c.threshold, "threshold", "breakeven", "idleness threshold in seconds, 'breakeven', 'never', 'immediate', 'adaptive', or 'randomized'")
+	fs.StringVar(&c.threshold, "threshold", "breakeven", "idleness threshold in seconds, or a policy: "+farm.SpinNames())
 	fs.Float64Var(&c.cacheB, "cache", 0, "LRU cache bytes (0 = none; paper uses 16e9)")
 	fs.Int64Var(&c.seed, "seed", 1, "seed for random placement and randomized policies")
 	fs.IntVar(&c.workers, "workers", 0, "parallel sweep simulations (0 = GOMAXPROCS)")
 	fs.IntVar(&c.simWorkers, "sim-workers", 1, "shard each simulation across N worker goroutines (0 = GOMAXPROCS); results are identical at any value")
-	fs.StringVar(&c.selectS, "select", "", "sweep operating-point rule: slo=SECONDS, knee, pareto (default none)")
+	fs.StringVar(&c.selectS, "select", "", "sweep operating-point rule: "+farm.SelectorNames())
 	fs.StringVar(&c.specIn, "spec", "", "run a JSON scenario file (a Spec or a Sweep; see -spec-out)")
 	fs.StringVar(&c.specOut, "spec-out", "", "write the assembled spec/sweep as JSON and exit")
 	fs.IntVar(&c.shards, "shards", 0, "split the grid into N shard manifests under -shard-out instead of running it")
@@ -193,7 +203,7 @@ func (c *cli) flagSet() *flag.FlagSet {
 	fs.StringVar(&c.telemOut, "telemetry-out", "", "write a single run's per-window telemetry as JSONL to FILE")
 	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve live Prometheus /metrics and /debug/pprof on ADDR (e.g. :9100) for the life of the run")
 	fs.BoolVar(&c.verbose, "v", false, "per-disk breakdown")
-	fs.Var(&c.sweeps, "sweep", "sweep axis dim=v1,v2,... (repeatable; dims: threshold, farm, cache, L, v, rate, alloc, seed, control)")
+	fs.Var(&c.sweeps, "sweep", "sweep axis dim=v1,v2,... (repeatable; dims: "+farm.AxisNames()+")")
 	return fs
 }
 
@@ -521,11 +531,11 @@ func (c *cli) loadTrace() (farm.File, error) {
 	if err != nil {
 		return farm.File{}, err
 	}
-	alloc, err := allocSpec(c.assignIn, c.algo, c.capL, c.farmN)
+	alloc, err := c.allocFlags()
 	if err != nil {
 		return farm.File{}, err
 	}
-	spin, err := spinSpec(c.threshold)
+	spin, err := farm.ParseSpin(c.threshold)
 	if err != nil {
 		return farm.File{}, err
 	}
@@ -538,6 +548,27 @@ func (c *cli) loadTrace() (farm.File, error) {
 		FarmSize:   c.farmN,
 		CacheBytes: int64(c.cacheB),
 	}}, nil
+}
+
+// allocFlags resolves -assign, or else -algo with -L and, for random,
+// -disks.
+func (c *cli) allocFlags() (farm.AllocSpec, error) {
+	if c.assignIn != "" {
+		assign, err := readAssign(c.assignIn)
+		if err != nil {
+			return farm.AllocSpec{}, err
+		}
+		return farm.Explicit(assign), nil
+	}
+	alloc, err := farm.ParseAlloc(c.algo)
+	if err != nil {
+		return farm.AllocSpec{}, err
+	}
+	alloc.CapL = c.capL
+	if alloc.Kind == farm.AllocRandom {
+		alloc.Disks = c.farmN
+	}
+	return alloc, nil
 }
 
 // replacedFlag maps each -sweep axis kind to the -trace spec flags it
@@ -562,7 +593,9 @@ var replacedFlag = map[farm.AxisKind][]string{
 func (c *cli) override(doc farm.File) (farm.File, error) {
 	for _, a := range c.axes {
 		for _, f := range replacedFlag[a.Kind] {
-			if c.isSet(f) && !c.algoKeepsEffect(a.Kind) {
+			// Only a -trace input takes the replaced flags, and it
+			// resolves to a Spec.
+			if c.isSet(f) && !allocKeepsEffect(doc.Spec.Alloc, a.Kind) {
 				return doc, fmt.Errorf("-%s has no effect: the %s axis sets it at every point", f, a.Kind)
 			}
 		}
@@ -615,21 +648,18 @@ func (c *cli) override(doc farm.File) (farm.File, error) {
 	return doc, nil
 }
 
-// algoKeepsEffect reports whether -algo sets a field that an axis of
-// kind k leaves alone, so the flag that axis replaces still has an
-// effect: -algo random spreads files over -disks, which the farm axis
-// does not resize, and an alloc axis sets only the allocation kind,
-// keeping random's spread and pack4's group size. Beside an -assign
-// map, which overrides -algo, -algo keeps nothing.
-func (c *cli) algoKeepsEffect(k farm.AxisKind) bool {
-	if c.assignIn != "" {
-		return false
-	}
+// allocKeepsEffect reports whether the -trace spec's allocation sets a
+// field that an axis of kind k leaves alone, so the flag that axis
+// replaces still has an effect: -algo random spreads files over -disks,
+// which the farm axis does not resize, and an alloc axis sets only the
+// allocation kind, keeping random's spread and packN's group size. An
+// -assign map, which overrides -algo, keeps nothing.
+func allocKeepsEffect(alloc farm.AllocSpec, k farm.AxisKind) bool {
 	switch k {
 	case farm.AxisFarmSize:
-		return c.algo == "random"
+		return alloc.Kind == farm.AllocRandom
 	case farm.AxisAllocKind:
-		return c.algo == "random" || c.algo == "pack4"
+		return alloc.Kind == farm.AllocRandom || alloc.Kind == farm.AllocPackV
 	}
 	return false
 }
@@ -1320,55 +1350,6 @@ func printMetrics(out io.Writer, m *farm.Metrics, threshold string, withCache, v
 				100*b.Durations[disk.Idle]/total,
 				100*b.Durations[disk.Standby]/total)
 		}
-	}
-}
-
-func allocSpec(assignPath, algo string, capL float64, farmN int) (farm.AllocSpec, error) {
-	if assignPath != "" {
-		assign, err := readAssign(assignPath)
-		if err != nil {
-			return farm.AllocSpec{}, err
-		}
-		return farm.Explicit(assign), nil
-	}
-	switch algo {
-	case "pack":
-		return farm.AllocSpec{Kind: farm.AllocPack, CapL: capL}, nil
-	case "pack4":
-		return farm.AllocSpec{Kind: farm.AllocPackV, CapL: capL, V: 4}, nil
-	case "random":
-		return farm.AllocSpec{Kind: farm.AllocRandom, CapL: capL, Disks: farmN}, nil
-	case "ffd":
-		return farm.AllocSpec{Kind: farm.AllocFirstFitDecreasing, CapL: capL}, nil
-	case "firstfit":
-		return farm.AllocSpec{Kind: farm.AllocFirstFit, CapL: capL}, nil
-	case "bestfit":
-		return farm.AllocSpec{Kind: farm.AllocBestFit, CapL: capL}, nil
-	case "chp":
-		return farm.AllocSpec{Kind: farm.AllocChangHwangPark, CapL: capL}, nil
-	default:
-		return farm.AllocSpec{}, fmt.Errorf("unknown algorithm %q", algo)
-	}
-}
-
-func spinSpec(threshold string) (farm.SpinSpec, error) {
-	switch threshold {
-	case "breakeven":
-		return farm.SpinSpec{Kind: farm.SpinBreakEven}, nil
-	case "never":
-		return farm.SpinSpec{Kind: farm.SpinNever}, nil
-	case "immediate":
-		return farm.SpinSpec{Kind: farm.SpinImmediate}, nil
-	case "adaptive":
-		return farm.SpinSpec{Kind: farm.SpinAdaptive}, nil
-	case "randomized":
-		return farm.SpinSpec{Kind: farm.SpinRandomized}, nil
-	default:
-		th, err := strconv.ParseFloat(threshold, 64)
-		if err != nil {
-			return farm.SpinSpec{}, fmt.Errorf("bad -threshold: %w", err)
-		}
-		return farm.FixedSpin(th), nil
 	}
 }
 

@@ -7,7 +7,8 @@
 //	experiments -run fig56 -format csv -out results/
 //
 // Experiments: table1, table2, packquality, scaling, fig2, fig3, fig23,
-// fig4, fig5, fig6, fig56, vsweep, all.
+// fig4, fig5, fig6, fig56, vsweep, policies, analysis, reorg, control,
+// reliability, all.
 package main
 
 import (

@@ -156,8 +156,10 @@ type (
 )
 
 // RunExperiment regenerates the named table or figure of the paper
-// ("table1", "table2", "fig2".."fig6", "vsweep", "packquality",
-// "scaling", or "all").
+// ("table1", "table2", "fig2", "fig3", "fig23", "fig4", "fig5",
+// "fig6", "fig56", "vsweep", "packquality", "scaling"), or one of the
+// studies beyond it ("policies", "analysis", "reorg", "control",
+// "reliability"), or "all".
 func RunExperiment(name string, opts ExperimentOptions) ([]*ResultTable, error) {
 	return exp.Run(name, opts)
 }

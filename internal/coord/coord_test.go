@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -588,5 +589,31 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	var lease LeaseResponse
 	if resp := postJSON(t, srv.URL+"/v1/lease", LeaseRequest{Worker: "w"}, &lease); resp.StatusCode != http.StatusOK || len(lease.Points) != 1 {
 		t.Errorf("well-formed lease after the oversized ones: status %d, %d points", resp.StatusCode, len(lease.Points))
+	}
+}
+
+// TestUndecodableSweepFailsFast: a coordinator whose sweep this build
+// cannot decode (a diverged build, or a kind it does not know) fails
+// the worker on the first answer — no retry can change a body that
+// arrived whole.
+func TestUndecodableSweepFailsFast(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"Sweep":{"Base":{"Spin":{"Kind":"no-such-kind"}}},"Seed":1}`+"\n")
+	}))
+	t.Cleanup(srv.Close)
+	const retry = 10 * time.Second
+	start := time.Now()
+	_, err := Work(testCtx(t), srv.URL, WorkerConfig{Name: "w", Parallel: 1, Retry: retry})
+	if err == nil || !strings.Contains(err.Error(), "no-such-kind") {
+		t.Fatalf("Work returned %v, want the decode failure", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("the worker asked %d times, want once (no retries)", n)
+	}
+	if took := time.Since(start); took > retry/4 {
+		t.Errorf("the worker took %v to fail, want well inside its %v retry budget", took, retry)
 	}
 }

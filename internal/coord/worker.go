@@ -504,9 +504,19 @@ func (e *httpError) Error() string {
 	return fmt.Sprintf("HTTP %d: %s", e.code, strings.TrimSpace(e.body))
 }
 
+// badBody is a 2xx response whose body arrived whole but does not
+// decode: a coordinator that speaks another protocol or names a kind
+// this build does not know. Sending the request again cannot change
+// the answer.
+type badBody struct{ err error }
+
+func (e *badBody) Error() string { return "undecodable response: " + e.err.Error() }
+func (e *badBody) Unwrap() error { return e.err }
+
 // call performs one protocol request, retrying transient failures
 // (network errors, 5xx) with exponential backoff within the Retry
-// budget. 4xx responses are fatal immediately.
+// budget. 4xx responses and bodies that do not decode are fatal
+// immediately.
 func (w *worker) call(ctx context.Context, method, path string, in, out any) error {
 	deadline := time.Now().Add(w.cfg.Retry)
 	backoff := 100 * time.Millisecond
@@ -519,7 +529,8 @@ func (w *worker) call(ctx context.Context, method, path string, in, out any) err
 			return ctx.Err()
 		}
 		var he *httpError
-		if errors.As(err, &he) && fatalStatus(he.code) {
+		var bb *badBody
+		if errors.As(err, &he) && fatalStatus(he.code) || errors.As(err, &bb) {
 			return err
 		}
 		if time.Now().After(deadline) {
@@ -573,7 +584,16 @@ func (w *worker) once(ctx context.Context, method, path string, in, out any) err
 	if out == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// A body cut short is a dropped connection, retried like one; only
+	// a body read whole can be judged undecodable.
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, out); err != nil {
+		return &badBody{err}
+	}
+	return nil
 }
 
 // sleep waits for d or the context, whichever ends first.

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"unicode/utf8"
 )
@@ -81,15 +82,30 @@ func FuzzParseSelector(f *testing.F) {
 // FuzzDecodeDocuments feeds the same bytes to the two document
 // decoders — scenario files and shard manifests: neither panics, a
 // decoded sweep compiles or errors, and every decoded value re-encodes
-// and re-decodes to the same bytes.
+// and re-decodes to the same bytes. The seeds are what the encoder
+// writes for every scenario's Spec and Grid, and each must decode to
+// its source.
 func FuzzDecodeDocuments(f *testing.F) {
 	for _, sc := range Scenarios() {
-		doc := File{Spec: &sc.Spec}
+		docs := []File{{Spec: &sc.Spec}}
 		if sc.Grid != nil {
-			doc = File{Sweep: sc.Grid}
+			docs = append(docs, File{Sweep: sc.Grid})
 		}
-		var b bytes.Buffer
-		if EncodeFile(&b, doc) == nil { // custom axes do not serialize
+		for _, doc := range docs {
+			var b bytes.Buffer
+			if err := EncodeFile(&b, doc); err != nil {
+				if doc.Sweep != nil && slices.ContainsFunc(doc.Sweep.Axes, func(a Axis) bool { return a.Kind == AxisCustom }) {
+					continue // custom axes do not serialize
+				}
+				f.Fatalf("scenario %s: %v", sc.Name, err)
+			}
+			back, err := DecodeFile(bytes.NewReader(b.Bytes()))
+			if err != nil {
+				f.Fatalf("scenario %s: what the encoder wrote does not decode: %v", sc.Name, err)
+			}
+			if !reflect.DeepEqual(*back, doc) {
+				f.Fatalf("scenario %s: the decoded document differs from its source:\n%s", sc.Name, b.Bytes())
+			}
 			f.Add(b.Bytes())
 		}
 	}

@@ -8,9 +8,9 @@ import (
 
 // Scenario persistence: a Spec or a Sweep serialized as JSON, so
 // scenarios run without recompiling (cmd/disksim -spec file.json). The
-// enum kinds marshal as their String() names — "pack", "breakeven",
-// "threshold" — so files stay readable and diffable. Custom axes carry
-// Go functions and are rejected by Encode/Decode.
+// enum kinds marshal as their names from names.go — "pack",
+// "breakeven", "threshold" — so files stay readable and diffable.
+// Custom axes carry Go functions and are rejected by Encode/Decode.
 
 // File is the on-disk scenario document: exactly one of Spec or Sweep.
 type File struct {
@@ -59,114 +59,4 @@ func DecodeFile(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	return &f, nil
-}
-
-// enumFromText implements name-based text unmarshalling shared by the
-// kind enums below.
-func enumFromText[K any](text []byte, what string, lookup func(string) (K, bool)) (K, error) {
-	k, ok := lookup(string(text))
-	if !ok {
-		var zero K
-		return zero, fmt.Errorf("farm: unknown %s %q", what, text)
-	}
-	return k, nil
-}
-
-// MarshalText renders the kind as its String() name.
-func (k WorkloadKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses a WorkloadKind name.
-func (k *WorkloadKind) UnmarshalText(text []byte) error {
-	v, err := enumFromText(text, "workload kind", func(s string) (WorkloadKind, bool) {
-		for _, c := range []WorkloadKind{WorkloadTrace, WorkloadSynthetic, WorkloadNERSC, WorkloadBursty} {
-			if c.String() == s {
-				return c, true
-			}
-		}
-		return 0, false
-	})
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// MarshalText renders the kind as its String() name.
-func (k AllocKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses an AllocKind name.
-func (k *AllocKind) UnmarshalText(text []byte) error {
-	v, err := parseAllocKind(string(text))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// MarshalText renders the kind as its String() name.
-func (k SpinKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses a SpinKind name.
-func (k *SpinKind) UnmarshalText(text []byte) error {
-	v, err := enumFromText(text, "spin kind", func(s string) (SpinKind, bool) {
-		for _, c := range []SpinKind{SpinBreakEven, SpinFixed, SpinNever, SpinImmediate, SpinAdaptive, SpinRandomized, SpinTailAware} {
-			if c.String() == s {
-				return c, true
-			}
-		}
-		return 0, false
-	})
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// MarshalText renders the kind as its String() name.
-func (k AxisKind) MarshalText() ([]byte, error) {
-	if k == AxisCustom {
-		return nil, fmt.Errorf("farm: custom axes cannot be serialized")
-	}
-	return []byte(k.String()), nil
-}
-
-// UnmarshalText parses an AxisKind name (custom is rejected — a file
-// cannot carry the Apply function).
-func (k *AxisKind) UnmarshalText(text []byte) error {
-	v, err := enumFromText(text, "axis kind", func(s string) (AxisKind, bool) {
-		for c, n := range axisKindNames {
-			if n == s && c != AxisCustom {
-				return c, true
-			}
-		}
-		return 0, false
-	})
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
-
-// MarshalText renders the kind as its String() name.
-func (k SelectorKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses a SelectorKind name.
-func (k *SelectorKind) UnmarshalText(text []byte) error {
-	v, err := enumFromText(text, "selector kind", func(s string) (SelectorKind, bool) {
-		for c, n := range selectorKindNames {
-			if n == s {
-				return c, true
-			}
-		}
-		return 0, false
-	})
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
 }

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -116,3 +117,111 @@ func TestFileValidation(t *testing.T) {
 		t.Error("unknown field decoded")
 	}
 }
+
+// TestKindNamesRoundTrip: every value of the five persisted kinds —
+// AxisCustom aside, which carries a Go function — survives MarshalText
+// → UnmarshalText, and its String parses back to it.
+func TestKindNamesRoundTrip(t *testing.T) {
+	checkKindNames(t, WorkloadBursty)
+	checkKindNames(t, AllocExplicit)
+	checkKindNames(t, SpinCycleBudget)
+	checkKindNames(t, AxisController)
+	checkKindNames(t, SelectMinEnergySLOAFR)
+	if _, err := AxisCustom.MarshalText(); err == nil {
+		t.Error("AxisCustom marshalled")
+	}
+}
+
+// checkKindNames runs TestKindNamesRoundTrip over kind values 0..last.
+func checkKindNames[K interface {
+	~int
+	String() string
+	MarshalText() ([]byte, error)
+}, PK interface {
+	*K
+	UnmarshalText([]byte) error
+}](t *testing.T, last K) {
+	t.Helper()
+	for k := K(0); k <= last; k++ {
+		text, err := k.MarshalText()
+		if err != nil {
+			t.Errorf("%T %d: MarshalText: %v", k, int(k), err)
+			continue
+		}
+		var back, parsed K
+		if err := PK(&back).UnmarshalText(text); err != nil || back != k {
+			t.Errorf("%T %d: MarshalText wrote %q, which decodes to %d (%v)", k, int(k), text, int(back), err)
+		}
+		if err := PK(&parsed).UnmarshalText([]byte(k.String())); err != nil || parsed != k {
+			t.Errorf("%T %d: String %q parses to %d (%v)", k, int(k), k, int(parsed), err)
+		}
+	}
+	var bogus K
+	if err := PK(&bogus).UnmarshalText([]byte("bogus")); err == nil {
+		t.Errorf("%T: an unknown name decoded", bogus)
+	}
+}
+
+// TestFlagParsersReadTables: the flag grammars take every name their
+// kind's table spells, and their errors list the same names.
+func TestFlagParsersReadTables(t *testing.T) {
+	for k := AllocKind(0); k <= AllocExplicit; k++ {
+		if a, err := ParseAlloc(k.String()); err != nil || !reflect.DeepEqual(a, AllocSpec{Kind: k}) {
+			t.Errorf("ParseAlloc(%q) = %+v, %v", k, a, err)
+		}
+		if a, err := ParseAxis("alloc=" + k.String()); err != nil || a.Values[0] != float64(k) {
+			t.Errorf("ParseAxis(alloc=%s) = %+v, %v", k, a, err)
+		}
+	}
+	for _, v := range []int{1, 2, 4, 8} {
+		name := fmt.Sprintf("pack%d", v)
+		if a, err := ParseAlloc(name); err != nil || !reflect.DeepEqual(a, AllocSpec{Kind: AllocPackV, V: v}) {
+			t.Errorf("ParseAlloc(%q) = %+v, %v", name, a, err)
+		}
+	}
+	for k := SpinKind(0); k <= SpinCycleBudget; k++ {
+		s, err := ParseSpin(k.String())
+		if k.parameterized() != (err != nil) || err == nil && s != (SpinSpec{Kind: k}) {
+			t.Errorf("ParseSpin(%q) = %+v, %v", k, s, err)
+		}
+	}
+	if s, err := ParseSpin("600"); err != nil || s != FixedSpin(600) {
+		t.Errorf("ParseSpin(600) = %+v, %v", s, err)
+	}
+	for k := AxisKind(0); k < AxisCustom; k++ {
+		v := "1"
+		switch k {
+		case AxisAllocKind:
+			v = "pack"
+		case AxisController:
+			v = "static"
+		}
+		if a, err := ParseAxis(k.String() + "=" + v); err != nil || a.Kind != k {
+			t.Errorf("ParseAxis(%s=%s) = %+v, %v", k, v, a, err)
+		}
+	}
+	for k := SelectorKind(0); k <= SelectMinEnergySLOAFR; k++ {
+		s, err := ParseSelector(k.String())
+		if k.budgeted() != (err != nil) || err == nil && s.Kind != k {
+			t.Errorf("ParseSelector(%q) = %+v, %v", k, s, err)
+		}
+	}
+	for _, c := range []struct {
+		err   error
+		names string
+	}{
+		{second(ParseAlloc("bogus")), AlgoNames()},
+		{second(ParseSpin("bogus")), SpinNames()},
+		{second(ParseAxis("bogus=1")), AxisNames()},
+		{second(ParseAxis("alloc=bogus")), AllocNames()},
+		{second(ParseSelector("bogus")), SelectorNames()},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), "(have "+c.names+")") &&
+			!strings.Contains(c.err.Error(), "one of "+c.names) {
+			t.Errorf("error %v does not list %s", c.err, c.names)
+		}
+	}
+}
+
+// second returns a call's error.
+func second[T any](_ T, err error) error { return err }

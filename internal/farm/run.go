@@ -71,24 +71,54 @@ func BuildTrace(w WorkloadSpec, seed int64) (*trace.Trace, error) {
 	if err := w.validate(); err != nil {
 		return nil, err
 	}
-	switch w.Kind {
-	case WorkloadTrace:
+	if g := w.generator(seed); g != nil {
+		return g.Build()
+	}
+	return w.Trace, nil
+}
+
+// buildFiles is BuildTrace without the requests: a trace holding only
+// the workload's file population, which is all the allocation stage
+// reads. A pre-built trace is returned as-is.
+func buildFiles(w WorkloadSpec, seed int64) (*trace.Trace, error) {
+	if err := w.validate(); err != nil {
+		return nil, err
+	}
+	g := w.generator(seed)
+	if g == nil {
 		return w.Trace, nil
+	}
+	files, err := g.Files()
+	if err != nil {
+		return nil, err
+	}
+	return &trace.Trace{Files: files}, nil
+}
+
+// generator is a workload config that synthesizes a trace.
+type generator interface {
+	Build() (*trace.Trace, error)
+	Files() ([]trace.FileInfo, error)
+}
+
+// generator returns the validated spec's config reseeded at seed, or
+// nil for a pre-built trace.
+func (w WorkloadSpec) generator(seed int64) generator {
+	switch w.Kind {
 	case WorkloadSynthetic:
 		cfg := *w.Synthetic
 		cfg.Seed = seed
-		return cfg.Build()
+		return cfg
 	case WorkloadNERSC:
 		cfg := *w.NERSC
 		cfg.Seed = seed
-		return cfg.Build()
+		return cfg
 	case WorkloadBursty:
 		cfg := *w.Bursty
 		cfg.Seed = seed
-		return cfg.Build()
-	default:
-		return nil, fmt.Errorf("farm: unknown workload kind %d", int(w.Kind))
+		return cfg
 	}
+	return nil
 }
 
 // Items converts a trace's file population into packing items
@@ -118,17 +148,18 @@ type Allocation struct {
 	Bound float64
 }
 
-// Plan runs only the workload-synthesis and allocation stages of a
-// spec — no simulation. Use it to size a shared farm across a sweep of
-// specs before the real runs; like Run it is a pure function of
-// (spec, seed).
+// Plan runs only the allocation stage of a spec, over the workload's
+// file population — no requests are synthesized and nothing is
+// simulated. Use it to size a shared farm across a sweep of specs
+// before the real runs; like Run it is a pure function of (spec, seed),
+// and its allocation is the one Run simulates.
 func Plan(spec Spec, seed int64) (*Allocation, error) {
 	return plan(spec, seed, pointStages{})
 }
 
 // plan is Plan, drawing the stage outputs from the given source.
 func plan(spec Spec, seed int64, from pointStages) (*Allocation, error) {
-	_, alloc, err := prepare(spec, seed, from)
+	_, alloc, err := prepare(spec, seed, from, buildFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +400,7 @@ func run(spec Spec, seed int64, from pointStages, o *obs.RunObserver) (*Metrics,
 // which the public entry read, so a what-if replay nested inside an
 // observed run publishes nothing into that run's sinks.
 func simulate(spec Spec, seed int64, from pointStages, o *obs.RunObserver, epoch float64, sink StreamSink) (*Metrics, error) {
-	tr, alloc, err := prepare(spec, seed, from)
+	tr, alloc, err := prepare(spec, seed, from, BuildTrace)
 	if err != nil {
 		return nil, err
 	}

@@ -56,22 +56,6 @@ const (
 	WorkloadBursty
 )
 
-// String names the kind.
-func (k WorkloadKind) String() string {
-	switch k {
-	case WorkloadTrace:
-		return "trace"
-	case WorkloadSynthetic:
-		return "synthetic"
-	case WorkloadNERSC:
-		return "nersc"
-	case WorkloadBursty:
-		return "bursty"
-	default:
-		return fmt.Sprintf("WorkloadKind(%d)", int(k))
-	}
-}
-
 // WorkloadSpec is a declarative workload source. Exactly the field
 // matching Kind must be set; Run overrides the config's Seed with its
 // own seed argument so a Spec stays reusable across seeds.
@@ -151,30 +135,6 @@ const (
 	// AllocExplicit uses a caller-provided file→disk map verbatim.
 	AllocExplicit
 )
-
-// String names the kind.
-func (k AllocKind) String() string {
-	switch k {
-	case AllocPack:
-		return "pack"
-	case AllocPackV:
-		return "packv"
-	case AllocRandom:
-		return "random"
-	case AllocFirstFit:
-		return "firstfit"
-	case AllocFirstFitDecreasing:
-		return "ffd"
-	case AllocBestFit:
-		return "bestfit"
-	case AllocChangHwangPark:
-		return "chp"
-	case AllocExplicit:
-		return "explicit"
-	default:
-		return fmt.Sprintf("AllocKind(%d)", int(k))
-	}
-}
 
 // AllocSpec parameterizes the allocation stage.
 type AllocSpec struct {
@@ -256,30 +216,6 @@ const (
 	SpinCycleBudget
 )
 
-// String names the kind.
-func (k SpinKind) String() string {
-	switch k {
-	case SpinBreakEven:
-		return "breakeven"
-	case SpinFixed:
-		return "fixed"
-	case SpinNever:
-		return "never"
-	case SpinImmediate:
-		return "immediate"
-	case SpinAdaptive:
-		return "adaptive"
-	case SpinRandomized:
-		return "randomized"
-	case SpinTailAware:
-		return "tailaware"
-	case SpinCycleBudget:
-		return "cyclecap"
-	default:
-		return fmt.Sprintf("SpinKind(%d)", int(k))
-	}
-}
-
 // SpinSpec parameterizes the spin-down policy.
 type SpinSpec struct {
 	Kind SpinKind
@@ -300,32 +236,29 @@ func CycleCapSpin(seconds, perDay float64) SpinSpec {
 	return SpinSpec{Kind: SpinCycleBudget, Threshold: seconds, CycleBudget: perDay}
 }
 
+// parameterized reports whether the kind reads SpinSpec.Threshold;
+// every other kind takes no parameter.
+func (k SpinKind) parameterized() bool {
+	return k == SpinFixed || k == SpinTailAware || k == SpinCycleBudget
+}
+
 // validate reports the first inconsistency.
 func (s SpinSpec) validate() error {
-	switch s.Kind {
-	case SpinFixed, SpinTailAware, SpinCycleBudget:
-		if s.Threshold < 0 || math.IsNaN(s.Threshold) {
-			return fmt.Errorf("farm: invalid %v spin threshold %v", s.Kind, s.Threshold)
-		}
-		if s.Kind == SpinCycleBudget {
-			if !(s.CycleBudget > 0) || math.IsNaN(s.CycleBudget) || math.IsInf(s.CycleBudget, 0) {
-				return fmt.Errorf("farm: cycle budget %v must be positive", s.CycleBudget)
-			}
-		} else if s.CycleBudget != 0 {
-			return fmt.Errorf("farm: cycle budget %v set but policy is %v", s.CycleBudget, s.Kind)
-		}
-		return nil
-	case SpinBreakEven, SpinNever, SpinImmediate, SpinAdaptive, SpinRandomized:
-		if s.Threshold != 0 {
-			return fmt.Errorf("farm: spin threshold %v set but policy is %v", s.Threshold, s.Kind)
-		}
-		if s.CycleBudget != 0 {
-			return fmt.Errorf("farm: cycle budget %v set but policy is %v", s.CycleBudget, s.Kind)
-		}
-		return nil
-	default:
+	switch {
+	case !spinKinds.has(s.Kind):
 		return fmt.Errorf("farm: unknown spin kind %d", int(s.Kind))
+	case !s.Kind.parameterized() && s.Threshold != 0:
+		return fmt.Errorf("farm: spin threshold %v set but policy is %v", s.Threshold, s.Kind)
+	case s.Threshold < 0 || math.IsNaN(s.Threshold):
+		return fmt.Errorf("farm: invalid %v spin threshold %v", s.Kind, s.Threshold)
+	case s.Kind == SpinCycleBudget:
+		if !(s.CycleBudget > 0) || math.IsNaN(s.CycleBudget) || math.IsInf(s.CycleBudget, 0) {
+			return fmt.Errorf("farm: cycle budget %v must be positive", s.CycleBudget)
+		}
+	case s.CycleBudget != 0:
+		return fmt.Errorf("farm: cycle budget %v set but policy is %v", s.CycleBudget, s.Kind)
 	}
+	return nil
 }
 
 // ControlSpec asks for a closed-loop run: the simulation is windowed

@@ -13,11 +13,14 @@ import (
 // Every executor runs a spec through the same two input stages before
 // it simulates anything: BuildTrace at the point seed, then allocate at
 // seed+1. prepare is that prologue, shared by Plan and the simulation
-// body under Run, RunStream and CompiledSweep.RunPoint. Inside a
-// compiled sweep the stages are memoized under exact keys, so points
-// whose stage inputs are equal — every point of a threshold, cache,
-// farm-size or controller axis — share one synthesis and one packing
-// instead of repeating them.
+// body under Run, RunStream and CompiledSweep.RunPoint; Plan builds
+// only the trace's file population (buildFiles), which is all allocate
+// reads. Inside a compiled sweep the stages are memoized under exact
+// keys, so points whose stage inputs are equal — every point of a
+// threshold, cache, farm-size or controller axis — share one synthesis
+// and one packing instead of repeating them. A compiled sweep either
+// plans every point or simulates every point, so its trace memo holds
+// one kind of trace.
 
 // stageKeys name a point's two stage outputs within its compiled sweep:
 // equal keys mean equal stage inputs. Keys are dense IDs in order of
@@ -184,15 +187,16 @@ func (from pointStages) release() {
 }
 
 // prepare is the prologue of every executor: validate the spec, build
-// its trace at seed, and allocate its files at seed+1. Outputs from a
-// memo are shared with other points and read-only; on success the
-// caller calls from.release() once it is done with them.
-func prepare(spec Spec, seed int64, from pointStages) (*trace.Trace, *Allocation, error) {
+// its trace at seed with build (BuildTrace, or buildFiles to plan), and
+// allocate its files at seed+1. Outputs from a memo are shared with
+// other points and read-only; on success the caller calls
+// from.release() once it is done with them.
+func prepare(spec Spec, seed int64, from pointStages, build func(WorkloadSpec, int64) (*trace.Trace, error)) (*trace.Trace, *Allocation, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
 	tr, err := from.traces.acquire(from.keys.trace, func() (*trace.Trace, error) {
-		return BuildTrace(spec.Workload, seed)
+		return build(spec.Workload, seed)
 	})
 	if err != nil {
 		from.traces.release(from.keys.trace)

@@ -58,29 +58,6 @@ const (
 	AxisCustom
 )
 
-// axisKindNames doubles as the String(), MarshalText, and ParseAxis
-// vocabulary.
-var axisKindNames = map[AxisKind]string{
-	AxisSpinThreshold: "threshold",
-	AxisFarmSize:      "farm",
-	AxisCacheBytes:    "cache",
-	AxisCapL:          "L",
-	AxisPackV:         "v",
-	AxisArrivalRate:   "rate",
-	AxisAllocKind:     "alloc",
-	AxisSeed:          "seed",
-	AxisController:    "control",
-	AxisCustom:        "custom",
-}
-
-// String names the kind (the -sweep flag vocabulary).
-func (k AxisKind) String() string {
-	if n, ok := axisKindNames[k]; ok {
-		return n
-	}
-	return fmt.Sprintf("AxisKind(%d)", int(k))
-}
-
 // Axis varies one dimension of a sweep's base spec. Declarative kinds
 // carry their grid in Values; AxisCustom carries it in Labels + Apply.
 type Axis struct {
@@ -175,7 +152,7 @@ func (a Axis) validate() error {
 		}
 		return nil
 	}
-	if _, ok := axisKindNames[a.Kind]; !ok {
+	if !axisKinds.has(a.Kind) {
 		return fmt.Errorf("farm: unknown axis kind %d", int(a.Kind))
 	}
 	if len(a.Values) == 0 {
@@ -263,22 +240,6 @@ const (
 	SelectMinEnergySLOAFR
 )
 
-var selectorKindNames = map[SelectorKind]string{
-	SelectNone:            "none",
-	SelectMinEnergySLO:    "slo",
-	SelectKnee:            "knee",
-	SelectPareto:          "pareto",
-	SelectMinEnergySLOAFR: "slo-afr",
-}
-
-// String names the kind (the -select flag vocabulary).
-func (k SelectorKind) String() string {
-	if n, ok := selectorKindNames[k]; ok {
-		return n
-	}
-	return fmt.Sprintf("SelectorKind(%d)", int(k))
-}
-
 // Selector is a sweep's pluggable operating-point rule.
 type Selector struct {
 	Kind SelectorKind
@@ -290,32 +251,27 @@ type Selector struct {
 	MaxAFR float64 `json:",omitempty"`
 }
 
+// budgeted reports whether the rule reads an SLO (and, for
+// SelectMinEnergySLOAFR, an AFR budget); the others take no budget.
+func (k SelectorKind) budgeted() bool { return k == SelectMinEnergySLO || k == SelectMinEnergySLOAFR }
+
 // validate reports the first inconsistency.
 func (s Selector) validate() error {
-	switch s.Kind {
-	case SelectMinEnergySLO, SelectMinEnergySLOAFR:
-		if s.MaxP95 <= 0 || math.IsNaN(s.MaxP95) {
-			return fmt.Errorf("farm: sweep SLO %v must be positive", s.MaxP95)
-		}
-		if s.Kind == SelectMinEnergySLOAFR {
-			if !(s.MaxAFR > 0 && s.MaxAFR < 1) || math.IsNaN(s.MaxAFR) {
-				return fmt.Errorf("farm: AFR budget %v outside (0,1)", s.MaxAFR)
-			}
-		} else if s.MaxAFR != 0 {
-			return fmt.Errorf("farm: selector %v does not take an AFR budget (MaxAFR %v set)", s.Kind, s.MaxAFR)
-		}
-		return nil
-	case SelectNone, SelectKnee, SelectPareto:
-		if s.MaxP95 != 0 {
-			return fmt.Errorf("farm: selector %v does not take an SLO (MaxP95 %v set)", s.Kind, s.MaxP95)
-		}
-		if s.MaxAFR != 0 {
-			return fmt.Errorf("farm: selector %v does not take an AFR budget (MaxAFR %v set)", s.Kind, s.MaxAFR)
-		}
-		return nil
-	default:
+	switch {
+	case !selectorKinds.has(s.Kind):
 		return fmt.Errorf("farm: unknown selector kind %d", int(s.Kind))
+	case !s.Kind.budgeted() && s.MaxP95 != 0:
+		return fmt.Errorf("farm: selector %v does not take an SLO (MaxP95 %v set)", s.Kind, s.MaxP95)
+	case s.Kind.budgeted() && (s.MaxP95 <= 0 || math.IsNaN(s.MaxP95)):
+		return fmt.Errorf("farm: sweep SLO %v must be positive", s.MaxP95)
+	case s.Kind == SelectMinEnergySLOAFR:
+		if !(s.MaxAFR > 0 && s.MaxAFR < 1) || math.IsNaN(s.MaxAFR) {
+			return fmt.Errorf("farm: AFR budget %v outside (0,1)", s.MaxAFR)
+		}
+	case s.MaxAFR != 0:
+		return fmt.Errorf("farm: selector %v does not take an AFR budget (MaxAFR %v set)", s.Kind, s.MaxAFR)
 	}
+	return nil
 }
 
 // pick applies the rule to a completed grid. Points without metrics
@@ -699,27 +655,18 @@ func parallelFor(ctx context.Context, n, workers int, fn func(i int) error) erro
 }
 
 // ParseAxis parses the -sweep flag grammar "dim=v1,v2,..." where dim is
-// an AxisKind name (threshold, farm, cache, L, v, rate, alloc, seed,
-// control) and values are numbers — except alloc, whose values are
-// allocation kind names (pack, packv, random, firstfit, ffd, bestfit,
-// chp), and control, whose values are controller names ("static" for
-// the open-loop point).
+// an AxisKind name (AxisNames) and values are numbers — except alloc,
+// whose values are allocation kind names (AllocNames), and control,
+// whose values are controller names ("static" for the open-loop
+// point).
 func ParseAxis(s string) (Axis, error) {
 	dim, list, ok := strings.Cut(s, "=")
 	if !ok {
 		return Axis{}, fmt.Errorf("farm: axis %q is not dim=v1,v2,...", s)
 	}
-	var kind AxisKind
-	found := false
-	for k, n := range axisKindNames {
-		// Custom axes carry Go functions, which do not fit a flag.
-		if n == dim && k != AxisCustom {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		return Axis{}, fmt.Errorf("farm: unknown axis dimension %q (have threshold, farm, cache, L, v, rate, alloc, seed, control)", dim)
+	kind, err := serialAxes.parse(dim)
+	if err != nil {
+		return Axis{}, err
 	}
 	a := Axis{Kind: kind}
 	for _, field := range strings.Split(list, ",") {
@@ -729,7 +676,7 @@ func ParseAxis(s string) (Axis, error) {
 		}
 		switch kind {
 		case AxisAllocKind:
-			ak, err := parseAllocKind(field)
+			ak, err := allocKinds.parse(field)
 			if err != nil {
 				return Axis{}, err
 			}
@@ -750,23 +697,13 @@ func ParseAxis(s string) (Axis, error) {
 	return a, nil
 }
 
-// parseAllocKind resolves an AllocKind by its String() name.
-func parseAllocKind(s string) (AllocKind, error) {
-	for _, k := range []AllocKind{AllocPack, AllocPackV, AllocRandom, AllocFirstFit,
-		AllocFirstFitDecreasing, AllocBestFit, AllocChangHwangPark, AllocExplicit} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("farm: unknown allocation kind %q", s)
-}
-
-// ParseSelector parses the -select flag grammar: "none", "knee",
-// "pareto", "slo=SECONDS" (min energy with p95 response within the
-// budget), or "slo=SECONDS,afr=RATE" (min energy under both the SLO
-// and an annual-failure-rate budget).
+// ParseSelector parses the -select flag grammar (SelectorNames): a rule
+// that takes no budget by name ("none", "knee", "pareto"),
+// "slo=SECONDS" (min energy with p95 response within the budget), or
+// "slo=SECONDS,afr=RATE" (min energy under both the SLO and an
+// annual-failure-rate budget).
 func ParseSelector(s string) (Selector, error) {
-	if v, ok := strings.CutPrefix(s, "slo="); ok {
+	if v, ok := strings.CutPrefix(s, SelectMinEnergySLO.String()+"="); ok {
 		slo, afr, hasAFR := strings.Cut(v, ",afr=")
 		p95, err := strconv.ParseFloat(slo, 64)
 		if err != nil {
@@ -782,13 +719,12 @@ func ParseSelector(s string) (Selector, error) {
 		}
 		return sel, sel.validate()
 	}
-	for k, n := range selectorKindNames {
-		if n == s {
-			if k == SelectMinEnergySLO || k == SelectMinEnergySLOAFR {
-				return Selector{}, fmt.Errorf("farm: selector %s needs budgets: slo=SECONDS[,afr=RATE]", n)
-			}
-			return Selector{Kind: k}, nil
-		}
+	k, err := selectorKinds.parse(s)
+	switch {
+	case err != nil:
+		return Selector{}, fmt.Errorf("farm: unknown selector %q (have %s)", s, SelectorNames())
+	case k.budgeted():
+		return Selector{}, fmt.Errorf("farm: selector %s needs budgets (have %s)", s, SelectorNames())
 	}
-	return Selector{}, fmt.Errorf("farm: unknown selector %q (have none, knee, pareto, slo=SECONDS[,afr=RATE])", s)
+	return Selector{Kind: k}, nil
 }

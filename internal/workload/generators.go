@@ -232,24 +232,9 @@ func (c NERSC) Build() (*trace.Trace, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(c.Seed))
-
-	alpha, err := AlphaForMean(float64(c.MinSize), float64(c.MaxSize), c.MeanSize)
+	files, perm, weights, err := c.population(rng)
 	if err != nil {
 		return nil, err
-	}
-	dist := BoundedPareto{Min: float64(c.MinSize), Max: float64(c.MaxSize), Alpha: alpha}
-	files := make([]trace.FileInfo, c.NumFiles)
-	for i := range files {
-		files[i] = trace.FileInfo{ID: i, Size: int64(dist.Sample(rng))}
-	}
-
-	// Popularity rank -> file: a random permutation decouples rank
-	// from size.
-	perm := rng.Perm(c.NumFiles)
-	weights := ZipfWeights(c.NumFiles, c.Theta)
-	rateOverall := float64(c.NumRequests) / c.Duration
-	for rank, fi := range perm {
-		files[fi].Rate = weights[rank] * rateOverall
 	}
 	// sampler draws a popularity rank; perm maps it to a file.
 	sampler := NewAlias(weights)
@@ -347,6 +332,39 @@ func (c NERSC) Build() (*trace.Trace, error) {
 		return nil, fmt.Errorf("workload: generated invalid NERSC trace: %w", err)
 	}
 	return tr, nil
+}
+
+// Files returns the file population only: the sizes and rates Build
+// draws first from the seeded stream, so they equal Build's.
+func (c NERSC) Files() ([]trace.FileInfo, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	files, _, _, err := c.population(rand.New(rand.NewSource(c.Seed)))
+	return files, err
+}
+
+// population makes the first draws from rng: bounded-Pareto file sizes,
+// then a popularity permutation (perm[rank] is the file of that rank)
+// that decouples rank from size. Each file's rate is its rank's Zipf
+// weight times the overall request rate; weights are returned by rank.
+func (c NERSC) population(rng *rand.Rand) (files []trace.FileInfo, perm []int, weights []float64, err error) {
+	alpha, err := AlphaForMean(float64(c.MinSize), float64(c.MaxSize), c.MeanSize)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	dist := BoundedPareto{Min: float64(c.MinSize), Max: float64(c.MaxSize), Alpha: alpha}
+	files = make([]trace.FileInfo, c.NumFiles)
+	for i := range files {
+		files[i] = trace.FileInfo{ID: i, Size: int64(dist.Sample(rng))}
+	}
+	perm = rng.Perm(c.NumFiles)
+	weights = ZipfWeights(c.NumFiles, c.Theta)
+	rateOverall := float64(c.NumRequests) / c.Duration
+	for rank, fi := range perm {
+		files[fi].Rate = weights[rank] * rateOverall
+	}
+	return files, perm, weights, nil
 }
 
 func sortBySize(idx []int, files []trace.FileInfo) {

@@ -3,10 +3,12 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"diskpack/internal/disk"
+	"diskpack/internal/trace"
 )
 
 func TestDefaultThetaValue(t *testing.T) {
@@ -429,6 +431,29 @@ func TestDeterministicBuilds(t *testing.T) {
 	for i := range a.Requests {
 		if a.Requests[i] != b.Requests[i] {
 			t.Fatal("nondeterministic request stream")
+		}
+	}
+}
+
+// TestFilesMatchBuild: each generator's Files is the population its
+// Build returns, so planning over Files allocates what a run simulates.
+func TestFilesMatchBuild(t *testing.T) {
+	nersc := DefaultNERSC(7)
+	nersc.NumFiles, nersc.NumRequests = 2000, 3000
+	for _, g := range []interface {
+		Build() (*trace.Trace, error)
+		Files() ([]trace.FileInfo, error)
+	}{DefaultSynthetic(3, 7), nersc, DefaultBursty(2, 7)} {
+		tr, err := g.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := g.Files()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(files, tr.Files) {
+			t.Errorf("%T: Files differs from Build's population", g)
 		}
 	}
 }
