@@ -185,8 +185,9 @@ func (s State) String() string {
 	}
 }
 
-// Power returns the wattage drawn in state s under params p.
-func (p Params) Power(s State) float64 {
+// Power returns the wattage drawn in state s under params p. It reads
+// p in place: a disk charges every state change through it.
+func (p *Params) Power(s State) float64 {
 	switch s {
 	case Idle:
 		return p.IdlePower
@@ -261,27 +262,27 @@ type Request struct {
 type Disk struct {
 	ID     int
 	env    *sim.Env
-	params Params
+	params *Params // shared with the farm's other disks of this model
 	policy SpinPolicy
 
 	state      State
 	lastChange sim.Time
 	idleSince  sim.Time // start of the current idle gap
 	inGap      bool
+	wantUp     bool // a request arrived while spinning down
+	finalized  bool
 	energy     float64
 	stateDur   [numStates]float64
 
 	queue     []*Request // head-indexed deque: live entries are queue[qhead:]
 	qhead     int
 	idleTimer sim.Event
-	wantUp    bool // a request arrived while spinning down
 
 	spinUps   int
 	spinDowns int
 	served    int64
 	bytesRead int64
 	peakQueue int
-	finalized bool
 
 	// rec, when non-nil, receives every state transition (observation
 	// only — tracing never alters behaviour). The nil check is the
@@ -308,21 +309,34 @@ func NewWithPolicy(env *sim.Env, id int, params Params, pol SpinPolicy) *Disk {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
+	d := new(Disk)
+	d.Init(env, id, &params, pol)
+	return d
+}
+
+// Init readies d in place as the disk NewWithPolicy returns, so a farm
+// can keep its disks in one slice instead of allocating each; d must
+// not be a disk with events still pending. params must be valid (see
+// Params.Validate) and is read in place, not copied: it must not change
+// while the disk runs, and disks of one drive model can share it. Init
+// arms the idleness timer, so initialising disks in order arms their
+// timers in that order.
+func (d *Disk) Init(env *sim.Env, id int, params *Params, pol SpinPolicy) {
 	if pol == nil {
 		panic("disk: nil SpinPolicy")
 	}
-	d := &Disk{
-		ID:         id,
-		env:        env,
-		params:     params,
-		policy:     pol,
-		state:      Idle,
-		lastChange: env.Now(),
-		idleSince:  env.Now(),
-		inGap:      true,
-	}
+	// Field by field: a composite literal would be built aside and
+	// copied, which a million-disk farm pays for a million times.
+	*d = Disk{}
+	d.ID = id
+	d.env = env
+	d.params = params
+	d.policy = pol
+	d.state = Idle
+	d.lastChange = env.Now()
+	d.idleSince = env.Now()
+	d.inGap = true
 	d.armIdleTimer()
-	return d
 }
 
 // SetRecorder attaches a state-timeline recorder (nil detaches). The
@@ -346,7 +360,7 @@ func StateNames() []string {
 }
 
 // Params returns the drive parameters.
-func (d *Disk) Params() Params { return d.params }
+func (d *Disk) Params() Params { return *d.params }
 
 // State returns the current power state.
 func (d *Disk) State() State { return d.state }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -341,5 +342,194 @@ func BenchmarkEnvScheduleCancel(b *testing.B) {
 		ev := env.ScheduleArg(53.3, nop, nil)
 		ev.Cancel()
 		env.Step()
+	}
+}
+
+// floodRun drives the shapes a large farm gives the queue: n idle
+// timers at one instant, armed before the first pop as disk
+// construction arms them, behind an arrival chain on FIFO positions
+// reserved after them; while that flood drains as a run, its callbacks
+// push at the same instant (at reserved positions ahead of it and at
+// fresh ones behind it) and cancel the run's head, a stretch behind
+// it, its middle and its tail; and each flood event arms a second
+// flood at t2, which reaches the queue as an all-equal top. It returns
+// the id of every fired event and Pending() after every step. runPaths,
+// when non-nil, records whether each flood was served from a run and
+// through which refill.
+func floodRun(env *Env, runPaths *[2]string) (fired, pending []int) {
+	const n = 1 << 14
+	const t1, t2 = 53.3, 63.3
+	var first, second [n]Event
+	rec := func(a any) { fired = append(fired, a.(int)) }
+	// Positions reserved before the floods are armed rank ahead of
+	// every flood event at the same instant.
+	early := env.ReserveSeqs(6)
+	notePath := func(k int) {
+		if runPaths == nil || runPaths[k] != "" {
+			return
+		}
+		q := &env.q
+		switch {
+		case q.head >= len(q.run):
+			runPaths[k] = "heap"
+		case q.rungW > 0:
+			runPaths[k] = "drained bucket"
+		default:
+			runPaths[k] = "degenerate reseed"
+		}
+	}
+	onSecond := func(a any) {
+		i := a.(int)
+		fired = append(fired, n+i)
+		notePath(1)
+		// The first flood's cancelled events armed nothing here, so
+		// this run is 0, 4, 5, ..., n-2 minus the gaps below.
+		switch i {
+		case 0:
+			second[4].Cancel() // the run's head
+			second[n/4].Cancel()
+			second[n-2].Cancel() // its tail
+			env.AtArgSeq(t2, rec, -4, early+3)
+			env.ScheduleArg(0, rec, -5)
+		case 7:
+			second[8].Cancel() // the head again, and the entry behind it
+			second[9].Cancel()
+			env.AtArgSeq(t2, rec, -6, early+4)
+		case 4, 8, 9, 20, 21, n / 4, n - 2:
+			panic("cancelled event fired")
+		}
+	}
+	onFirst := func(a any) {
+		i := a.(int)
+		fired = append(fired, i)
+		notePath(0)
+		switch i {
+		case 0:
+			first[1].Cancel() // the run's head
+			first[2].Cancel() // and the stretch behind it
+			first[3].Cancel()
+			first[n/2].Cancel()
+			first[n-1].Cancel() // its tail
+			env.AtArgSeq(t1, rec, -1, early)
+			env.ScheduleArg(0, rec, -2)
+		case 10:
+			env.AtArgSeq(t1, rec, -3, early+1)
+			first[n/2-1].Cancel() // the middle again, beside the first
+		case n/2 + 1:
+			first[5].Cancel() // fired already: a no-op
+		case n - 2:
+			first[n-1].Cancel() // cancelled already: a no-op
+			env.AtArgSeq(t1, rec, -7, early+2)
+			// Cancelled in the top, these move its last events out of
+			// FIFO order before the degenerate reseed sorts it.
+			second[20].Cancel()
+			second[21].Cancel()
+		case 1, 2, 3, 100, 200, 300, n/2 - 1, n / 2, n - 1:
+			panic("cancelled event fired")
+		}
+		second[i] = env.AtArg(t2, onSecond, i)
+	}
+	for i := range first {
+		first[i] = env.ScheduleArg(t1, onFirst, i)
+	}
+	arrivals := []Time{0, 10, 30, t1 - 1e-9, t1, t1}
+	arrSeq := env.ReserveSeqs(len(arrivals))
+	next := 0
+	var arrive func(any)
+	arrive = func(any) {
+		k := next
+		next++
+		if next < len(arrivals) {
+			env.AtArgSeq(arrivals[next], arrive, nil, arrSeq+uint64(next))
+		}
+		fired = append(fired, 2*n+k)
+		// As a request cancels its disk's idle timer: each cancel moves
+		// the bucket's last timer out of FIFO order before it drains.
+		switch k {
+		case 1:
+			first[100].Cancel()
+		case 2:
+			first[200].Cancel()
+			first[300].Cancel()
+		}
+	}
+	env.AtArgSeq(arrivals[0], arrive, nil, arrSeq)
+	for env.Step() {
+		pending = append(pending, env.Pending())
+	}
+	return fired, pending
+}
+
+// Floods of simultaneous timers drain as sorted runs: the calendar
+// queue must fire them, and everything pushed or cancelled around
+// them, exactly as the legacy heap does, with the same Pending() at
+// every step.
+func TestFloodMatchesLegacyHeap(t *testing.T) {
+	var paths [2]string
+	gotFired, gotPending := floodRun(NewEnv(), &paths)
+	wantFired, wantPending := floodRun(NewLegacyHeapEnv(), nil)
+	if paths != [2]string{"drained bucket", "degenerate reseed"} {
+		t.Fatalf("floods served via %q, want a drained bucket then a degenerate reseed", paths)
+	}
+	if len(gotFired) != len(wantFired) || len(gotPending) != len(wantPending) {
+		t.Fatalf("calendar fired %d events (%d steps), legacy heap %d (%d steps)",
+			len(gotFired), len(gotPending), len(wantFired), len(wantPending))
+	}
+	for i := range wantFired {
+		if gotFired[i] != wantFired[i] || gotPending[i] != wantPending[i] {
+			t.Fatalf("step %d: calendar fired %d with %d pending, legacy heap %d with %d",
+				i, gotFired[i], gotPending[i], wantFired[i], wantPending[i])
+		}
+	}
+	// The floods lose 9 and 9+7 events to cancels; 7 same-instant
+	// pushes and 6 arrivals join them.
+	if n := 1 << 14; len(wantFired) != (n-9)+(n-16)+7+6 {
+		t.Fatalf("fired %d events, want %d", len(wantFired), (n-9)+(n-16)+7+6)
+	}
+}
+
+// sortRun must sort any batch by (at, seq): the nearly sorted shapes it
+// lifts and merges (FIFO order broken by swap-with-last cancels and by
+// late pushes of earlier events, singly or in stretches) and the shapes
+// it sorts whole.
+func TestSortRunSortsAnyBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q calQueue
+	for round := 0; round < 400; round++ {
+		n := 1 + rng.Intn(3000)
+		batch := make([]*node, n)
+		for i := range batch {
+			// Few distinct times, so most order is decided by seq.
+			batch[i] = &node{at: Time(i * 4 / n), seq: uint64(i)}
+		}
+		switch round % 4 {
+		case 0: // cancels: the last event moves into a random hole
+			for k := rng.Intn(n/8 + 1); k > 0; k-- {
+				i := rng.Intn(len(batch))
+				batch[i] = batch[len(batch)-1]
+				batch = batch[:len(batch)-1]
+			}
+		case 1: // late pushes of earlier events, alone or in stretches
+			for k := rng.Intn(20); k > 0; k-- {
+				i, j := rng.Intn(n), rng.Intn(n)
+				if i > j {
+					i, j = j, i
+				}
+				stretch := batch[i : i+rng.Intn(j-i+1)]
+				moved := append([]*node(nil), stretch...)
+				rest := append(batch[:i:i], batch[i+len(stretch):]...)
+				batch = append(rest, moved...)
+			}
+		case 2:
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+		case 3:
+			slices.Reverse(batch)
+		}
+		want := slices.Clone(batch)
+		slices.SortFunc(want, cmpNodes)
+		q.sortRun(batch)
+		if !slices.Equal(batch, want) {
+			t.Fatalf("round %d: sortRun left %d events out of (at, seq) order", round, n)
+		}
 	}
 }

@@ -281,7 +281,7 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 	}
 	for s := range r.shards {
 		m := &machine{run: r, id: s, env: sim.NewEnv()}
-		m.disks = make([]*disk.Disk, 0, shardDisks[s])
+		m.disks = make([]disk.Disk, shardDisks[s])
 		if sc != nil || nshards > 1 {
 			m.diskID = make([]int, 0, shardDisks[s])
 		}
@@ -292,26 +292,33 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 		m.rebuildFn = m.onRebuildDone
 		r.shards[s] = m
 	}
+	// A fixed threshold is boxed into a SpinPolicy once per distinct
+	// value, not once per disk: the farm-wide one here, per-disk
+	// break-even times (heterogeneous farms) through the map.
+	fixed := disk.SpinPolicy(fixedTimeout(cfg.IdleThreshold))
+	breakEven := map[float64]disk.SpinPolicy{}
 	for d := 0; d < cfg.NumDisks; d++ {
 		s := 0
 		if r.shardOf != nil {
 			s = int(r.shardOf[d])
 		}
 		m := r.shards[s]
-		p := cfg.paramsFor(d)
-		var pol disk.SpinPolicy
+		p := r.cfg.paramsFor(d)
+		pol := fixed
 		switch {
 		case cfg.PolicyFactory != nil:
 			pol = cfg.PolicyFactory(d)
 		case cfg.IdleThreshold == BreakEven:
-			pol = fixedTimeout(p.BreakEvenThreshold())
-		default:
-			pol = fixedTimeout(cfg.IdleThreshold)
+			t := p.BreakEvenThreshold()
+			if pol = breakEven[t]; pol == nil {
+				pol = fixedTimeout(t)
+				breakEven[t] = pol
+			}
 		}
 		if m.acc != nil {
 			pol = &gapRecorder{inner: pol, acc: m.acc, group: m.acc.group(d)}
 		}
-		m.disks = append(m.disks, disk.NewWithPolicy(m.env, d, p, pol))
+		m.localDisk(d).Init(m.env, d, p, pol)
 		if m.diskID != nil {
 			m.diskID = append(m.diskID, d)
 		}
@@ -672,8 +679,8 @@ func (r *runner) results(horizon float64) *Results {
 			s = int(r.shardOf[i])
 		}
 		d := r.shards[s].localDisk(i)
-		b := d.Breakdown()
-		res.PerDisk[i] = b
+		res.PerDisk[i] = d.Breakdown()
+		b := &res.PerDisk[i]
 		res.Energy += b.Energy
 		res.SpinUps += b.SpinUps
 		res.SpinDowns += b.SpinDowns

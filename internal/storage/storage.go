@@ -29,7 +29,8 @@ type Config struct {
 	// (heterogeneous farms: fast spindles for hot data, eco drives for
 	// cold). Its length must equal NumDisks; DiskParams is ignored.
 	// With a BreakEven threshold each disk uses its own break-even
-	// time.
+	// time. A run reads the entries in place, so they must not change
+	// while it runs.
 	PerDisk []disk.Params
 	// IdleThreshold is the idleness threshold in seconds.
 	// Use disk.NeverSpinDown to disable spin-down (the paper's
@@ -110,12 +111,13 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// paramsFor returns disk i's drive model.
-func (c Config) paramsFor(i int) disk.Params {
+// paramsFor returns disk i's drive model, in place: disks share it
+// rather than each holding a copy.
+func (c *Config) paramsFor(i int) *disk.Params {
 	if len(c.PerDisk) > 0 {
-		return c.PerDisk[i]
+		return &c.PerDisk[i]
 	}
-	return c.DiskParams
+	return &c.DiskParams
 }
 
 // Results reports the outcome of a run.

@@ -280,3 +280,62 @@ func TestPeakQueueReported(t *testing.T) {
 		t.Fatalf("peak queue %d want 3", res.PeakQueue)
 	}
 }
+
+// A shard's disks live in one slab and share their drive model and
+// fixed threshold, so a farm's size costs no allocation per disk: what
+// a larger farm adds is the event kernel's 64-node slabs for the idle
+// timers every disk arms at once, and slice growth. Each disk still
+// reads its own configured drive model, at any shard count.
+func TestRunAllocatesNothingPerDisk(t *testing.T) {
+	const small, large = 1 << 12, 1 << 16
+	// Past every break-even time: the idle timers and spin-downs fire.
+	tr := &trace.Trace{Duration: 100}
+	models := []disk.Params{disk.DefaultParams(), disk.EcoParams()}
+	farm := func(n int, perDisk bool) Config {
+		cfg := Config{NumDisks: n, IdleThreshold: BreakEven}
+		if perDisk {
+			cfg.PerDisk = make([]disk.Params, n)
+			for i := range cfg.PerDisk {
+				cfg.PerDisk[i] = models[i%len(models)]
+			}
+		}
+		return cfg
+	}
+	for _, perDisk := range []bool{false, true} {
+		allocs := func(n int) float64 {
+			cfg := farm(n, perDisk)
+			return testing.AllocsPerRun(2, func() {
+				if _, err := Run(tr, nil, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a, b := allocs(small), allocs(large)
+		if extra, limit := b-a, float64(large-small)/32; extra > limit {
+			t.Errorf("PerDisk=%v: %v disks allocate %v objects, %v disks %v: %v more, want at most %v",
+				perDisk, small, a, large, b, extra, limit)
+		}
+		cfg := farm(small, perDisk)
+		for _, workers := range []int{1, 3} {
+			r, err := newRunner(tr, nil, cfg, nil, ParallelConfig{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < small; d++ {
+				want := models[0]
+				if perDisk {
+					want = models[d%len(models)]
+				}
+				s := 0
+				if r.shardOf != nil {
+					s = int(r.shardOf[d])
+				}
+				dk := r.shards[s].localDisk(d)
+				if dk.ID != d || dk.Params() != want {
+					t.Fatalf("PerDisk=%v workers=%d: disk %d reads disk %d with model %q, want %q",
+						perDisk, workers, d, dk.ID, dk.Params().Model, want.Model)
+				}
+			}
+		}
+	}
+}

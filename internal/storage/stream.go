@@ -334,7 +334,8 @@ func (a *winAccum) fillRows(m *machine, end float64) {
 	// Per-disk counter deltas accumulate into the owning group's row in
 	// ascending global disk order (local order preserves it), exactly
 	// the order the sequential accumulator used.
-	for ld, dk := range m.disks {
+	for ld := range m.disks {
+		dk := &m.disks[ld]
 		g := a.group(m.diskID[ld])
 		row := &a.rows[g]
 		e := dk.EnergyAt(end)
@@ -379,8 +380,8 @@ type machine struct {
 	id  int
 	env *sim.Env
 
-	disks  []*disk.Disk // shard-local, ascending global disk ID
-	diskID []int        // local index → global disk ID
+	disks  []disk.Disk // shard-local slab, ascending global disk ID
+	diskID []int       // local index → global disk ID
 
 	pending  int       // trace index of the scheduled (unfired) arrival; len(Requests) = exhausted
 	arrEvent sim.Event // handle on the pending arrival, for boundary rescans
@@ -429,9 +430,9 @@ func (m *machine) allocReq() *disk.Request {
 // localDisk resolves a global disk ID to the shard's disk object.
 func (m *machine) localDisk(d int) *disk.Disk {
 	if m.run.localOf == nil {
-		return m.disks[d]
+		return &m.disks[d]
 	}
-	return m.disks[m.run.localOf[d]]
+	return &m.disks[m.run.localOf[d]]
 }
 
 // owns reports whether this shard's arrival chain dispatches requests
@@ -625,8 +626,8 @@ func (m *machine) advance(st shardStep) {
 		m.acc.fillRows(m, st.end)
 	}
 	if st.finalize {
-		for _, dk := range m.disks {
-			dk.Finalize()
+		for i := range m.disks {
+			m.disks[i].Finalize()
 		}
 	}
 }
