@@ -94,7 +94,7 @@ func (w WearParams) CycleHazard() float64 {
 // Hazard is the cumulative hazard of a disk after cycles start/stop
 // cycles and poweredHours powered-on (non-standby) hours.
 func (w WearParams) Hazard(cycles, poweredHours float64) float64 {
-	return poweredHours*w.BaseHazardPerHour() + cycles*w.CycleHazard()
+	return w.Rates().Hazard(cycles, poweredHours)
 }
 
 // AFR extrapolates an observed duty profile — start/stop cycles per
@@ -103,7 +103,29 @@ func (w WearParams) Hazard(cycles, poweredHours float64) float64 {
 // smooth, deterministic figure sweeps and selectors compare; the
 // sampled failure process realizes the same hazard.
 func (w WearParams) AFR(cyclesPerDay, poweredFrac float64) float64 {
-	h := w.Hazard(cyclesPerDay*365, poweredFrac*8760)
+	return w.Rates().AFR(cyclesPerDay, poweredFrac)
+}
+
+// WearRates holds a wear model's hourly base hazard and per-cycle
+// hazard, derived once, for callers that evaluate the model on every
+// disk of a farm.
+type WearRates struct {
+	perHour, perCycle float64
+}
+
+// Rates derives w's two hazard rates.
+func (w WearParams) Rates() WearRates {
+	return WearRates{perHour: w.BaseHazardPerHour(), perCycle: w.CycleHazard()}
+}
+
+// Hazard is WearParams.Hazard on the derived rates.
+func (r WearRates) Hazard(cycles, poweredHours float64) float64 {
+	return poweredHours*r.perHour + cycles*r.perCycle
+}
+
+// AFR is WearParams.AFR on the derived rates.
+func (r WearRates) AFR(cyclesPerDay, poweredFrac float64) float64 {
+	h := r.Hazard(cyclesPerDay*365, poweredFrac*8760)
 	return 1 - math.Exp(-h)
 }
 

@@ -1,15 +1,14 @@
 // Package stats provides the streaming statistics used by the disk-farm
 // simulator and the experiment harness: numerically stable moments
-// (Welford), exact quantiles over retained samples, and the log-binned
-// histogram and least-squares line fit used to verify the log-log
-// linearity of the synthesized NERSC file-size distribution (paper
-// Section 5.1).
+// (Welford), exact quantiles over retained samples (sorted by an O(n)
+// radix kernel, SortFloat64s), and the log-binned histogram and
+// least-squares line fit used to verify the log-log linearity of the
+// synthesized NERSC file-size distribution (paper Section 5.1).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates count, mean, variance, min and max in a single
@@ -100,9 +99,10 @@ func (w *Welford) String() string {
 // samples per run, so retaining them exactly is cheaper and more faithful
 // than a sketch.
 type Sample struct {
-	xs     []float64
-	sorted bool
-	w      Welford
+	xs      []float64
+	scratch []float64 // SortFloat64s's buffer, kept across Reset
+	sorted  bool
+	w       Welford
 }
 
 // Add appends an observation.
@@ -139,40 +139,31 @@ func (s *Sample) Max() float64 { return s.w.Max() }
 // interpolation between order statistics. It returns 0 on an empty
 // sample and panics on q outside [0,1].
 func (s *Sample) Quantile(q float64) float64 {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
-	}
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
+	return SortedQuantile(s.Sorted(), q)
+}
+
+// Sorted returns the observations in ascending order, sorting the
+// backing array in place unless nothing was added since the last sort.
+// The slice is the sample's own storage: it is valid until the next Add
+// or Reset, and the caller must not modify it.
+func (s *Sample) Sorted() []float64 {
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		s.scratch = SortFloat64s(s.xs, s.scratch)
 		s.sorted = true
 	}
-	if n == 1 {
-		return s.xs[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s.xs[lo]
-	}
-	frac := pos - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return s.xs
 }
 
 // Median returns Quantile(0.5).
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // AppendValues appends the sample's observations to dst and returns
-// the extended slice. The order is unspecified (Quantile sorts the
-// backing array in place); callers that need a canonical order must
-// sort the result. This is the escape hatch parallel reductions use to
-// merge per-shard samples exactly: concatenating shards' values and
-// sorting yields the same multiset — and therefore the same sorted
-// array, bit for bit — regardless of how the observations were split.
+// the extended slice: in the order they were added, or ascending if
+// Quantile or Sorted ran after the last Add. This is the escape hatch
+// parallel reductions use to merge per-shard samples exactly:
+// concatenating shards' values and sorting yields the same multiset —
+// and therefore the same sorted array, bit for bit — regardless of how
+// the observations were split.
 func (s *Sample) AppendValues(dst []float64) []float64 {
 	return append(dst, s.xs...)
 }

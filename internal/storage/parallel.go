@@ -121,7 +121,8 @@ type runner struct {
 	groupOwner  []int32 // group → owning shard; nil when single-shard
 	bufs        [2]Window
 	windex      int
-	respScratch []float64
+	respScratch []float64 // the window Total's merged samples
+	sortScratch []float64 // stats.SortFloat64s's buffer for them
 	prevHits    int64
 	prevMisses  int64
 	prevMigE    float64
@@ -282,11 +283,17 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 	for s := range r.shards {
 		m := &machine{run: r, id: s, env: sim.NewEnv()}
 		m.disks = make([]disk.Disk, shardDisks[s])
+		if nshards == 1 {
+			// A lone shard completes at most every request, so its
+			// response store never regrows.
+			m.resp = make([]float64, 0, len(tr.Requests))
+		}
 		if sc != nil || nshards > 1 {
 			m.diskID = make([]int, 0, shardDisks[s])
 		}
 		if sc != nil {
 			m.acc = newWinAccum(sc.GroupOf, r.ngroups, shardDisks[s])
+			m.gapRecs = make([]gapRecorder, shardDisks[s])
 		}
 		m.doneFn = m.onDone
 		m.rebuildFn = m.onRebuildDone
@@ -316,7 +323,9 @@ func newRunner(tr *trace.Trace, assign []int, cfg Config, sc *StreamConfig, par 
 			}
 		}
 		if m.acc != nil {
-			pol = &gapRecorder{inner: pol, acc: m.acc, group: m.acc.group(d)}
+			rec := &m.gapRecs[m.local(d)]
+			*rec = gapRecorder{inner: pol, acc: m.acc, group: m.acc.group(d)}
+			pol = rec
 		}
 		m.localDisk(d).Init(m.env, d, p, pol)
 		if m.diskID != nil {
@@ -467,8 +476,8 @@ func (r *runner) rescanArrivals(now float64) {
 // double-buffered Window. Group rows copy bit-exactly from their
 // owning shard (a group never splits); the farm-wide Total folds the
 // group rows in fixed group order, sums histograms exactly (integers),
-// and computes response statistics from the concatenated-then-sorted
-// per-group samples — an order-canonical reduction that makes the
+// and computes response statistics from all groups' samples in
+// ascending order — an order-canonical reduction that makes the
 // merged quantiles independent of shard layout.
 func (r *runner) assembleWindow(start, end float64, final bool) *Window {
 	w := &r.bufs[r.windex&1]
@@ -516,12 +525,24 @@ func (r *runner) assembleWindow(start, end float64, final bool) *Window {
 			tHist[b] += v
 		}
 	}
-	xs := r.respScratch[:0]
+	// fillRows sorted every group's sample, so when one group holds all
+	// of the window's samples its array is already the merged one.
+	var xs []float64
+	filled := 0
 	for g := 0; g < r.ngroups; g++ {
-		xs = owner(g).acc.resp[g].AppendValues(xs)
+		if s := &owner(g).acc.resp[g]; s.Count() > 0 {
+			xs = s.Sorted()
+			filled++
+		}
 	}
-	sort.Float64s(xs)
-	r.respScratch = xs
+	if filled > 1 {
+		xs = r.respScratch[:0]
+		for g := 0; g < r.ngroups; g++ {
+			xs = owner(g).acc.resp[g].AppendValues(xs)
+		}
+		r.sortScratch = stats.SortFloat64s(xs, r.sortScratch)
+		r.respScratch = xs
+	}
 	if len(xs) > 0 {
 		w.Total.RespMean = stats.SortedMean(xs)
 		w.Total.RespP50 = stats.SortedQuantile(xs, 0.5)
@@ -652,18 +673,16 @@ func (r *runner) results(horizon float64) *Results {
 		MigratedFiles:   r.migratedFiles,
 		MigratedBytes:   r.migratedBytes,
 	}
-	var completions int64
 	for _, m := range r.shards {
-		res.Completed += m.completed
+		res.Completed += int64(len(m.resp))
 		res.WritesPlaced += m.writesPlaced
 		res.WritesToSpinning += m.writesToSpinning
 		res.WritesRejected += m.writesRejected
 		res.ReadsUnplaced += m.readsUnplaced
-		completions += m.resp.Count()
 	}
 	res.Unfinished = int64(len(r.tr.Requests)) - res.Completed - res.WritesRejected - res.ReadsUnplaced
 
-	wear := disk.DefaultWear()
+	wear := disk.DefaultWear().Rates()
 	if r.rel != nil {
 		wear = r.rel.wear
 		res.Failures = r.rel.failures
@@ -719,12 +738,16 @@ func (r *runner) results(horizon float64) *Results {
 	if res.NoSavingEnergy > 0 {
 		res.PowerSavingRatio = 1 - res.Energy/res.NoSavingEnergy
 	}
-	if completions > 0 {
-		xs := make([]float64, 0, completions)
-		for _, m := range r.shards {
-			xs = m.resp.AppendValues(xs)
+	if res.Completed > 0 {
+		// A lone shard's store is sorted where it stands.
+		xs := r.shards[0].resp
+		if len(r.shards) > 1 {
+			xs = make([]float64, 0, res.Completed)
+			for _, m := range r.shards {
+				xs = append(xs, m.resp...)
+			}
 		}
-		sort.Float64s(xs)
+		stats.SortFloat64s(xs, nil)
 		res.RespMean = stats.SortedMean(xs)
 		res.RespMedian = stats.SortedQuantile(xs, 0.5)
 		res.RespP95 = stats.SortedQuantile(xs, 0.95)

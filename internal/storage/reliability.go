@@ -100,7 +100,7 @@ type relFin struct {
 // code (shards parked) touches it.
 type relState struct {
 	cfg     ReliabilityConfig
-	wear    disk.WearParams
+	wear    disk.WearRates
 	groupOf []int
 	groups  [][]int
 	fp      []*disk.FailureProcess
@@ -123,7 +123,7 @@ func newRelState(cfg ReliabilityConfig, numDisks int) *relState {
 	cfg = cfg.withDefaults()
 	rel := &relState{
 		cfg:     cfg,
-		wear:    cfg.Wear,
+		wear:    cfg.Wear.Rates(),
 		groupOf: make([]int, numDisks),
 		fp:      make([]*disk.FailureProcess, numDisks),
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"diskpack/internal/disk"
@@ -301,19 +302,33 @@ func TestRunAllocatesNothingPerDisk(t *testing.T) {
 		}
 		return cfg
 	}
+	// A windowed run wraps each disk's policy in a gap recorder; those
+	// come from one slab per shard too.
+	runs := map[string]func(Config) error{
+		"Run": func(cfg Config) error {
+			_, err := Run(tr, nil, cfg)
+			return err
+		},
+		"RunStream": func(cfg Config) error {
+			_, err := RunStream(tr, nil, cfg, StreamConfig{Epoch: 30})
+			return err
+		},
+	}
 	for _, perDisk := range []bool{false, true} {
-		allocs := func(n int) float64 {
-			cfg := farm(n, perDisk)
-			return testing.AllocsPerRun(2, func() {
-				if _, err := Run(tr, nil, cfg); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		a, b := allocs(small), allocs(large)
-		if extra, limit := b-a, float64(large-small)/32; extra > limit {
-			t.Errorf("PerDisk=%v: %v disks allocate %v objects, %v disks %v: %v more, want at most %v",
-				perDisk, small, a, large, b, extra, limit)
+		for name, run := range runs {
+			allocs := func(n int) float64 {
+				cfg := farm(n, perDisk)
+				return testing.AllocsPerRun(2, func() {
+					if err := run(cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			a, b := allocs(small), allocs(large)
+			if extra, limit := b-a, float64(large-small)/32; extra > limit {
+				t.Errorf("%s, PerDisk=%v: %v disks allocate %v objects, %v disks %v: %v more, want at most %v",
+					name, perDisk, small, a, large, b, extra, limit)
+			}
 		}
 		cfg := farm(small, perDisk)
 		for _, workers := range []int{1, 3} {
@@ -337,5 +352,42 @@ func TestRunAllocatesNothingPerDisk(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunAllocatesNothingPerRequest requires Run to allocate as many
+// objects for 100k requests as for 10k: a lone shard's response store
+// is sized from the trace once, and sorting it takes one scratch
+// buffer. The collector is off while counting, so a cycle's own
+// allocations do not count as the run's.
+func TestRunAllocatesNothingPerRequest(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const files, disks = 8, 4
+	build := func(n int) (*trace.Trace, []int) {
+		tr := &trace.Trace{Duration: 2.5 * float64(n)}
+		assign := make([]int, files)
+		for f := range assign {
+			tr.Files = append(tr.Files, trace.FileInfo{ID: f, Size: 72 * disk.MB, Rate: 0.05})
+			assign[f] = f % disks
+		}
+		for i := 0; i < n; i++ {
+			tr.Requests = append(tr.Requests, trace.Request{Time: 2.5 * float64(i), FileID: i % files})
+		}
+		return tr, assign
+	}
+	allocs := func(n int) float64 {
+		tr, assign := build(n)
+		return testing.AllocsPerRun(2, func() {
+			res, err := Run(tr, assign, Config{NumDisks: disks, IdleThreshold: BreakEven})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != int64(n) {
+				t.Fatalf("%d of %d requests completed", res.Completed, n)
+			}
+		})
+	}
+	if a, b := allocs(10_000), allocs(100_000); a != b {
+		t.Errorf("Run allocates %v objects for 10k requests and %v for 100k, want the same", a, b)
 	}
 }

@@ -256,7 +256,8 @@ type winAccum struct {
 	// Per-group accumulators, reset (capacity kept) every window. The
 	// farm-wide histogram and arrival totals are derived by the runner
 	// summing groups at assembly time; farm-wide quantiles come from
-	// concatenating and sorting the per-group samples, which
+	// the per-group samples fillRows sorted — one group's array as it
+	// stands, several groups' concatenated and sorted again — which
 	// reproduces a single farm-wide sample bit for bit.
 	resp     []stats.Sample
 	arrivals []int64
@@ -380,16 +381,19 @@ type machine struct {
 	id  int
 	env *sim.Env
 
-	disks  []disk.Disk // shard-local slab, ascending global disk ID
-	diskID []int       // local index → global disk ID
+	disks   []disk.Disk   // shard-local slab, ascending global disk ID
+	diskID  []int         // local index → global disk ID
+	gapRecs []gapRecorder // windowed runs: each disk's policy wrapper, by local index
 
 	pending  int       // trace index of the scheduled (unfired) arrival; len(Requests) = exhausted
 	arrEvent sim.Event // handle on the pending arrival, for boundary rescans
 	arrSeq   uint64    // FIFO position reserved for request 0 (request i gets arrSeq+i)
 
-	resp                                                      stats.Sample
-	completed, writesPlaced, writesToSpinning, writesRejected int64
-	readsUnplaced                                             int64
+	// resp holds the response time of every completion, in completion
+	// order until results sorts it; its length is the completion count.
+	resp                                           []float64
+	writesPlaced, writesToSpinning, writesRejected int64
+	readsUnplaced                                  int64
 
 	acc *winAccum
 
@@ -427,13 +431,16 @@ func (m *machine) allocReq() *disk.Request {
 	return r
 }
 
-// localDisk resolves a global disk ID to the shard's disk object.
-func (m *machine) localDisk(d int) *disk.Disk {
+// local resolves a global disk ID to its index in the shard's slab.
+func (m *machine) local(d int) int {
 	if m.run.localOf == nil {
-		return &m.disks[d]
+		return d
 	}
-	return &m.disks[m.run.localOf[d]]
+	return int(m.run.localOf[d])
 }
+
+// localDisk resolves a global disk ID to the shard's disk object.
+func (m *machine) localDisk(d int) *disk.Disk { return &m.disks[m.local(d)] }
 
 // owns reports whether this shard's arrival chain dispatches requests
 // for file f under the current placement map. Unplaced files fall to
@@ -575,8 +582,7 @@ func (m *machine) onRequest(r trace.Request) {
 	if m.run.lru != nil && m.run.lru.Get(r.FileID, size) {
 		// Cache hit: served without disk involvement; the paper counts
 		// these as (near-)zero response time.
-		m.resp.Add(0)
-		m.completed++
+		m.resp = append(m.resp, 0)
 		m.noteComplete(d, 0)
 		return
 	}
@@ -600,8 +606,7 @@ func (m *machine) submit(d int, fileID int, size int64) {
 // recycles the request, which the disk permits from inside Done.
 func (m *machine) onDone(req *disk.Request, doneAt sim.Time) {
 	rt := doneAt - req.Arrival
-	m.resp.Add(rt)
-	m.completed++
+	m.resp = append(m.resp, rt)
 	if m.run.lru != nil {
 		m.run.lru.Put(req.FileID, req.Size)
 	}

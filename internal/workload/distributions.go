@@ -19,7 +19,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+
+	"diskpack/internal/stats"
 )
 
 // DefaultTheta is the paper's Zipf parameter θ = log 0.6 / log 0.4
@@ -216,13 +217,24 @@ func PoissonArrivals(rng *rand.Rand, rate, duration float64) []float64 {
 	if rate <= 0 || duration <= 0 {
 		return nil
 	}
-	var times []float64
+	times := make([]float64, 0, arrivalsCap(rate*duration))
 	t := rng.ExpFloat64() / rate
 	for t < duration {
 		times = append(times, t)
 		t += rng.ExpFloat64() / rate
 	}
 	return times
+}
+
+// arrivalsCap sizes an arrival slice for a Poisson count of the given
+// mean: four standard deviations over it, so the slice almost never
+// regrows. A mean that is not positive, or beyond 2^40 (+Inf
+// included), gets 0 and leaves the slice to grow.
+func arrivalsCap(mean float64) int {
+	if !(mean > 0) || mean > 1<<40 {
+		return 0
+	}
+	return int(mean + 4*math.Sqrt(mean) + 16)
 }
 
 // PoissonArrivalsHourly returns event times of a nonhomogeneous Poisson
@@ -254,16 +266,38 @@ func PoissonArrivalsHourly(rng *rand.Rand, rate, duration float64, hourly []floa
 	}
 	mean := sum / 24
 	maxRate := rate * peak / mean
-	var times []float64
+	// The expected count: whole days average to the mean rate, and the
+	// last part-day takes its hours' own rates.
+	days := math.Floor(duration / 86400)
+	expected := rate * days * 86400
+	for h, rest := 0, duration-days*86400; h < 24 && rest > 0; h, rest = h+1, rest-3600 {
+		expected += rate * hourly[h] / mean * math.Min(rest, 3600)
+	}
+	times := make([]float64, 0, arrivalsCap(expected))
+	var clock dayClock
 	t := rng.ExpFloat64() / maxRate
 	for t < duration {
-		hour := int(math.Mod(t, 86400) / 3600)
-		if rng.Float64() < hourly[hour]/peak {
+		if rng.Float64() < hourly[clock.hour(t)]/peak {
 			times = append(times, t)
 		}
 		t += rng.ExpFloat64() / maxRate
 	}
 	return times
+}
+
+// dayClock gives the hour of day of non-decreasing times without
+// math.Mod. It keeps the start of the day holding the last time asked
+// about; for t in [day, day+86400), t−day is exact by Sterbenz's lemma,
+// so it equals math.Mod(t, 86400) and the hour is the same bit for bit.
+type dayClock struct{ day float64 }
+
+// hour returns int(math.Mod(t, 86400) / 3600) for a t no earlier than
+// the last one.
+func (c *dayClock) hour(t float64) int {
+	for t >= c.day+86400 {
+		c.day += 86400
+	}
+	return int((t - c.day) / 3600)
 }
 
 // OnOffArrivals returns event times of a Markov-modulated (ON/OFF)
@@ -306,6 +340,6 @@ func UniformOrderedTimes(rng *rand.Rand, n int, duration float64) []float64 {
 	for i := range times {
 		times[i] = rng.Float64() * duration
 	}
-	sort.Float64s(times)
+	stats.SortFloat64s(times, nil)
 	return times
 }
