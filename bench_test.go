@@ -359,12 +359,14 @@ func BenchmarkControlEpoch(b *testing.B) {
 
 // BenchmarkMillionDiskEpoch is the ROADMAP scale target in benchmark
 // form: one epoch of a ~10⁶-disk farm at the break-even threshold. The
-// farm is mostly cold — every disk arms an idle timer at t=0 and spins
-// down at 53.3 s — while 10⁵ requests land on a 128k-file active
-// subset, forcing spin-ups and queueing behind wake-ups. The dominant
-// cost is the event kernel itself (≈2.2M timer events beyond the
-// request path), so this benchmark tracks exactly what the calendar
-// queue and free list are for. Reports wall-clock request throughput.
+// farm is mostly cold — every disk arms an idle timeout at t=0 and
+// spins down at 53.3 s — while 10⁵ requests land on a 128k-file active
+// subset, forcing spin-ups and queueing behind wake-ups. The ≈2.1M
+// timeouts and spin-down ends beyond the request path queue no events:
+// each disk applies its own when next touched (at the latest when the
+// run finalizes it), so this benchmark tracks per-disk construction,
+// those deferred transitions and the event heap the busy disks keep.
+// Reports wall-clock request throughput.
 // millionDiskSetup builds the 2²⁰-disk, 10⁵-request epoch shared by
 // the sequential and parallel million-disk benches.
 func millionDiskSetup() (*trace.Trace, []int, storage.Config, int) {

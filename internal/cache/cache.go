@@ -17,6 +17,9 @@ type LRU struct {
 	// head is most recently used; tail least. Sentinel-free doubly
 	// linked list.
 	head, tail *node
+	// free chains removed nodes through next for Put to reuse, so a
+	// warm cache inserts without allocating.
+	free *node
 
 	hits, misses          int64
 	hitBytes, missBytes   int64
@@ -78,7 +81,13 @@ func (c *LRU) Put(id int, size int64) {
 		c.evictOverflow()
 		return
 	}
-	n := &node{id: id, size: size}
+	n := c.free
+	if n != nil {
+		c.free = n.next
+		*n = node{id: id, size: size}
+	} else {
+		n = &node{id: id, size: size}
+	}
 	c.entries[id] = n
 	c.pushFront(n)
 	c.used += size
@@ -104,6 +113,8 @@ func (c *LRU) removeNode(n *node) {
 	c.unlink(n)
 	delete(c.entries, n.id)
 	c.used -= n.size
+	n.next = c.free
+	c.free = n
 }
 
 func (c *LRU) unlink(n *node) {

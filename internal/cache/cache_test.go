@@ -247,3 +247,25 @@ func BenchmarkPutEvictChurn(b *testing.B) {
 		c.Put(i, 1<<10)
 	}
 }
+
+// A warm cache reuses the nodes it evicts: get/put churn over more
+// files than fit allocates nothing.
+func TestWarmChurnAllocatesNothing(t *testing.T) {
+	c := NewLRU(64 << 10)
+	rng := rand.New(rand.NewSource(2))
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			id := rng.Intn(256)
+			if !c.Get(id, 1<<10) {
+				c.Put(id, 1<<10)
+			}
+		}
+	}
+	churn(10_000)
+	if allocs := testing.AllocsPerRun(5, func() { churn(1000) }); allocs != 0 {
+		t.Fatalf("1000 get/put operations on a warm cache allocate %v objects, want 0", allocs)
+	}
+	if s := c.Stats(); s.Evictions == 0 || s.Hits == 0 {
+		t.Fatalf("churn did not evict and hit: %+v", s)
+	}
+}

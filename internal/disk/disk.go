@@ -259,6 +259,35 @@ type Request struct {
 // Submit; spin-down policy, queueing, and energy accounting are
 // internal. Metrics accessors are valid any time; call Finalize once at
 // the end of the run to close the last accounting segment.
+//
+// Deferred transitions. An idle disk queues no event: its idle timeout
+// and the end of the spin-down it starts happen at instants fixed when
+// the disk goes idle, so the disk records them (spinAt, and the FIFO
+// rank armSeq the timeout event would have taken) and applies them
+// itself when next touched — by Submit, Finalize or an accessor — at
+// the instants and in the order the kernel would have fired them, and
+// counts each through sim.Env.Deferred. A farm of idle disks therefore
+// costs the event queue nothing. A timeout due at the current instant
+// counts as fired when its rank is below sim.Env.CurrentSeq; a
+// spin-down end due then counts as fired only once RunUntil has
+// reached that instant (CurrentSeq is sim.NoEvent), after every event
+// at it. That tie rule is exact for the storage
+// layer: the only callbacks that touch a disk are trace arrivals, whose
+// ranks are reserved when the run is built, ahead of any spin-down end
+// the kernel could have queued, and a Submit at a window boundary (a
+// rebuild stream) comes after every event at that instant.
+//
+// A Submit during a deferred spin-down queues its end as a real event
+// (the request waits on it), ranked after every ordinary event at that
+// instant and, among spin-down ends, in the order their timeouts were
+// armed. A kernel that queued every timeout ranks a spin-down end by
+// when its timeout fired instead, which differs in two known cases: an
+// event scheduled after a spin-down began that falls exactly on its
+// end now fires before that end instead of after it; and two
+// spin-downs begun at different instants that end at the same one
+// (drive models with different spin-down times) can swap order. No
+// result pinned by the repository's goldens, its tie-case golden
+// included, moves.
 type Disk struct {
 	ID     int
 	env    *sim.Env
@@ -269,14 +298,15 @@ type Disk struct {
 	lastChange sim.Time
 	idleSince  sim.Time // start of the current idle gap
 	inGap      bool
-	wantUp     bool // a request arrived while spinning down
 	finalized  bool
+	pending    deferred // the deferred transition due next, if any
+	spinAt     sim.Time // when the idle timeout fires
+	armSeq     uint64   // the FIFO rank the timeout event would take
 	energy     float64
 	stateDur   [numStates]float64
 
-	queue     []*Request // head-indexed deque: live entries are queue[qhead:]
-	qhead     int
-	idleTimer sim.Event
+	queue []*Request // head-indexed deque: live entries are queue[qhead:]
+	qhead int
 
 	spinUps   int
 	spinDowns int
@@ -290,8 +320,23 @@ type Disk struct {
 	rec *obs.TraceRecorder
 }
 
-// New returns a disk in the Idle (spinning) state with its idleness
-// timer armed, matching the paper's simulation start condition.
+// deferred names the transition a disk applies itself when next
+// touched (see Disk).
+type deferred uint8
+
+const (
+	noneDeferred     deferred = iota
+	timeoutDeferred           // the idle timeout at spinAt
+	spinDownDeferred          // the spin-down end at spinAt + SpinDownTime
+)
+
+// spinDownRank is the high bit of a queued spin-down end's FIFO rank:
+// ordinary ranks never reach it, so the event fires after every
+// ordinary event at its instant.
+const spinDownRank uint64 = 1 << 63
+
+// New returns a disk in the Idle (spinning) state with its idle
+// timeout armed, matching the paper's simulation start condition.
 // threshold is the fixed idleness threshold in seconds; use
 // params.BreakEvenThreshold() for the paper's policy or NeverSpinDown to
 // disable spin-down. New panics on invalid params or negative threshold.
@@ -319,8 +364,8 @@ func NewWithPolicy(env *sim.Env, id int, params Params, pol SpinPolicy) *Disk {
 // not be a disk with events still pending. params must be valid (see
 // Params.Validate) and is read in place, not copied: it must not change
 // while the disk runs, and disks of one drive model can share it. Init
-// arms the idleness timer, so initialising disks in order arms their
-// timers in that order.
+// arms the idle timeout, taking the next FIFO rank from env, so
+// initialising disks in order ranks their timeouts in that order.
 func (d *Disk) Init(env *sim.Env, id int, params *Params, pol SpinPolicy) {
 	if pol == nil {
 		panic("disk: nil SpinPolicy")
@@ -363,7 +408,10 @@ func StateNames() []string {
 func (d *Disk) Params() Params { return *d.params }
 
 // State returns the current power state.
-func (d *Disk) State() State { return d.state }
+func (d *Disk) State() State {
+	d.settle()
+	return d.state
+}
 
 // QueueLen returns the number of requests waiting or in service.
 func (d *Disk) QueueLen() int { return len(d.queue) - d.qhead }
@@ -378,7 +426,10 @@ func (d *Disk) BytesRead() int64 { return d.bytesRead }
 func (d *Disk) SpinUps() int { return d.spinUps }
 
 // SpinDowns returns the number of spin-down transitions performed.
-func (d *Disk) SpinDowns() int { return d.spinDowns }
+func (d *Disk) SpinDowns() int {
+	d.settle()
+	return d.spinDowns
+}
 
 // PeakQueueLen returns the largest queue length observed (including the
 // request in service).
@@ -391,6 +442,7 @@ func (d *Disk) Submit(req *Request) {
 	if d.finalized {
 		panic("disk: Submit after Finalize")
 	}
+	d.settle()
 	if d.inGap {
 		// The idle gap that began at the last service completion ends
 		// now; adaptive policies learn from its length.
@@ -415,29 +467,62 @@ func (d *Disk) Submit(req *Request) {
 	}
 	switch d.state {
 	case Idle:
-		d.cancelIdleTimer()
+		d.pending = noneDeferred // cancel the idle timeout
 		d.startNext()
 	case Standby:
 		d.beginSpinUp()
 	case SpinningDown:
-		d.wantUp = true
+		if d.pending == spinDownDeferred {
+			// The request waits on the spin-down's end: queue it, and
+			// the spin-up that follows, as events.
+			d.pending = noneDeferred
+			d.env.AtArgSeq(d.spinAt+d.params.SpinDownTime, spinDownDoneCB, d, spinDownRank|d.armSeq)
+		}
 	case SpinningUp, Seeking, Transferring:
 		// Queued; the in-flight transition or service will drain it.
 	}
 }
 
-// transition moves to state s, charging the elapsed segment to the
+// settle applies the deferred transitions the kernel would already
+// have fired by now, had they been queued as events (see Disk).
+func (d *Disk) settle() {
+	if d.pending == noneDeferred {
+		return
+	}
+	now, cur := d.env.Now(), d.env.CurrentSeq()
+	if d.pending == timeoutDeferred {
+		if d.spinAt > now || d.spinAt == now && d.armSeq > cur {
+			return
+		}
+		d.env.Deferred()
+		d.transitionAt(d.spinAt, SpinningDown)
+		d.spinDowns++
+		d.pending = spinDownDeferred
+	}
+	downAt := d.spinAt + d.params.SpinDownTime
+	if downAt > now || downAt == now && cur != sim.NoEvent {
+		return
+	}
+	d.env.Deferred()
+	d.transitionAt(downAt, Standby)
+	d.pending = noneDeferred
+}
+
+// transition moves to state s now, charging the elapsed segment to the
 // previous state.
-func (d *Disk) transition(s State) {
-	now := d.env.Now()
-	dt := now - d.lastChange
+func (d *Disk) transition(s State) { d.transitionAt(d.env.Now(), s) }
+
+// transitionAt moves to state s at time at, no earlier than the last
+// change, charging the elapsed segment to the previous state.
+func (d *Disk) transitionAt(at sim.Time, s State) {
+	dt := at - d.lastChange
 	d.energy += d.params.Power(d.state) * dt
 	d.stateDur[d.state] += dt
 	if d.rec != nil && s != d.state {
-		d.rec.StateChange(d.ID, float64(now), int(s))
+		d.rec.StateChange(d.ID, float64(at), int(s))
 	}
 	d.state = s
-	d.lastChange = now
+	d.lastChange = at
 }
 
 // enterIdle transitions to Idle with an empty queue, opening a new
@@ -452,12 +537,13 @@ func (d *Disk) enterIdle() {
 // Event callbacks are package-level functions taking the disk as the
 // boxed argument: sim.ScheduleArg with a static func and a pointer arg
 // performs no per-event allocation, unlike method values or closures.
-func idleTimeoutCB(a any)  { a.(*Disk).onIdleTimeout() }
 func spinDownDoneCB(a any) { a.(*Disk).onSpinDownComplete() }
 func spinUpDoneCB(a any)   { a.(*Disk).onSpinUpComplete() }
 func seekDoneCB(a any)     { a.(*Disk).onSeekDone() }
 func transferDoneCB(a any) { a.(*Disk).onTransferDone() }
 
+// armIdleTimer arms the policy's idle timeout as a deferred transition:
+// the instant ScheduleArg would compute and the rank it would take.
 func (d *Disk) armIdleTimer() {
 	t := d.policy.Timeout()
 	if math.IsInf(t, 1) {
@@ -466,32 +552,15 @@ func (d *Disk) armIdleTimer() {
 	if t < 0 || math.IsNaN(t) {
 		panic(fmt.Sprintf("disk: policy returned invalid timeout %v", t))
 	}
-	d.idleTimer = d.env.ScheduleArg(t, idleTimeoutCB, d)
+	d.spinAt = d.env.Now() + t
+	d.armSeq = d.env.ReserveSeqs(1)
+	d.pending = timeoutDeferred
 }
 
-func (d *Disk) cancelIdleTimer() {
-	d.idleTimer.Cancel()
-}
-
-func (d *Disk) onIdleTimeout() {
-	if d.state != Idle || d.QueueLen() > 0 {
-		return
-	}
-	d.transition(SpinningDown)
-	d.spinDowns++
-	d.env.ScheduleArg(d.params.SpinDownTime, spinDownDoneCB, d)
-}
-
-func (d *Disk) onSpinDownComplete() {
-	if d.wantUp || d.QueueLen() > 0 {
-		d.wantUp = false
-		// Charge the completed spin-down segment, then immediately
-		// start spinning back up.
-		d.beginSpinUp()
-		return
-	}
-	d.transition(Standby)
-}
+// onSpinDownComplete ends a spin-down a request waits on (only those
+// are queued as events): charge the spin-down segment, then spin
+// straight back up.
+func (d *Disk) onSpinDownComplete() { d.beginSpinUp() }
 
 func (d *Disk) beginSpinUp() {
 	d.transition(SpinningUp)
@@ -551,30 +620,39 @@ func (d *Disk) Finalize() {
 	if d.finalized {
 		return
 	}
+	d.settle()
 	d.transition(d.state) // charge the tail segment
-	d.cancelIdleTimer()
+	d.pending = noneDeferred
 	d.finalized = true
 }
 
 // Energy returns the energy consumed so far in joules (up to the last
 // state change; call Finalize for an exact end-of-run figure).
-func (d *Disk) Energy() float64 { return d.energy }
+func (d *Disk) Energy() float64 {
+	d.settle()
+	return d.energy
+}
 
 // EnergyAt returns the energy consumed through simulated time t >= the
 // last state change, extending the current state.
 func (d *Disk) EnergyAt(t sim.Time) float64 {
+	d.settle()
 	return d.energy + d.params.Power(d.state)*(t-d.lastChange)
 }
 
 // StateDuration returns the cumulative time spent in state s (up to the
 // last state change).
-func (d *Disk) StateDuration(s State) float64 { return d.stateDur[s] }
+func (d *Disk) StateDuration(s State) float64 {
+	d.settle()
+	return d.stateDur[s]
+}
 
 // StateDurationAt returns the cumulative time spent in state s through
 // simulated time t >= the last state change, extending the open segment
 // — the mid-run counterpart of StateDuration, which misses the segment
 // still in progress.
 func (d *Disk) StateDurationAt(s State, t sim.Time) float64 {
+	d.settle()
 	dur := d.stateDur[s]
 	if d.state == s {
 		dur += t - d.lastChange
@@ -594,6 +672,7 @@ type Breakdown struct {
 
 // Breakdown returns the current accounting snapshot.
 func (d *Disk) Breakdown() Breakdown {
+	d.settle()
 	return Breakdown{
 		Durations: d.stateDur,
 		Energy:    d.energy,

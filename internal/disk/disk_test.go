@@ -252,9 +252,10 @@ func TestIdleTimerResetAfterService(t *testing.T) {
 	env.Schedule(40, func() {
 		d.Submit(&Request{FileID: 1, Size: 72 * MB, Arrival: 40})
 	})
-	env.Run()
 	// Service ends ≈ 41.01; timer re-arms; spin-down at ≈ 91, standby
-	// at ≈ 101.
+	// at ≈ 101. An idle disk queues no event for its timeout, so drive
+	// the clock past it rather than draining the queue.
+	env.RunUntil(200)
 	if d.State() != Standby {
 		t.Fatalf("final state=%v want standby", d.State())
 	}
@@ -408,6 +409,10 @@ func TestEnergyConservationProperty(t *testing.T) {
 			})
 		}
 		env.Run()
+		// The queue drains at the last completion; carry the clock past
+		// the idle timeout and spin-down that follow it, which the disk
+		// applies itself, so the tail segments are summed too.
+		env.RunUntil(env.Now() + 100)
 		end := env.Now()
 		d.Finalize()
 		var total, energy float64
@@ -423,6 +428,9 @@ func TestEnergyConservationProperty(t *testing.T) {
 		}
 		if d.Served() != 50 {
 			t.Fatalf("seed %d: served %d want 50", seed, d.Served())
+		}
+		if d.State() != Standby {
+			t.Fatalf("seed %d: final state %v want standby", seed, d.State())
 		}
 	}
 }

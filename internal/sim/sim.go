@@ -5,7 +5,8 @@
 //
 // Determinism: events scheduled for the same instant fire in scheduling
 // order (FIFO tie-breaking via a sequence number), so a simulation run is
-// a pure function of its inputs and random seeds.
+// a pure function of its inputs and random seeds. The pending events sit
+// in one binary min-heap on (time, sequence number).
 //
 // The kernel is callback-based rather than coroutine-based: model
 // entities (disks, dispatchers, caches) are state machines that schedule
@@ -15,12 +16,17 @@
 // argument so no closure is created per event. This matters because the
 // experiment harness fans thousands of runs, each firing millions of
 // events, across a worker pool.
+//
+// An entity may also carry out a transition it can predict without
+// queueing it — an idle disk's timeout fires at a known instant unless
+// a request comes first — and apply it when next touched: CurrentSeq
+// tells it which events at the current instant the kernel has already
+// fired, and Deferred keeps the transition in the Steps count.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Time is simulated time in seconds since the start of the run.
@@ -28,6 +34,11 @@ type Time = float64
 
 // Forever is a time later than any event the simulator will fire.
 const Forever Time = math.MaxFloat64
+
+// NoEvent is what CurrentSeq returns once RunUntil has carried the
+// clock to the current instant: a rank after every event's, as every
+// event at that instant has fired.
+const NoEvent uint64 = math.MaxUint64
 
 // node is the pooled event record. Nodes are owned by the Env: freed at
 // fire or cancel time, recycled by the next Schedule, with gen bumped
@@ -39,9 +50,9 @@ type node struct {
 	arg any
 	env *Env
 	gen uint32
-	// where/slot locate the node inside calQueue for eager removal.
-	where int32
-	slot  int32
+	// slot is the node's index in the heap while it is queued, for
+	// eager removal.
+	slot int32
 }
 
 // Event is a handle to a scheduled callback, returned by
@@ -72,7 +83,7 @@ func (e *Event) Cancel() {
 	}
 	e.canceled = true
 	env := e.n.env
-	env.q.remove(e.n)
+	env.remove(int(e.n.slot))
 	env.recycle(e.n)
 }
 
@@ -97,45 +108,17 @@ func (e *Event) Fired() bool {
 // The zero value is not usable; call NewEnv.
 type Env struct {
 	now       Time
-	q         calQueue
+	heap      []*node // pending events, a binary min-heap on (at, seq)
 	seq       uint64
-	stepCount uint64 // fired events, for diagnostics
+	cur       uint64 // see CurrentSeq
+	stepCount uint64 // fired events plus Deferred transitions
 	free      []*node
 	slab      []node // current allocation block, carved into nodes
 }
 
-// legacyKernel, when set, makes NewEnv hand out legacy-heap
-// environments. See SetLegacyKernel.
-var legacyKernel atomic.Bool
-
-// SetLegacyKernel globally switches NewEnv between the calendar-queue
-// scheduler (false, the default) and the legacy binary heap (true),
-// returning the previous setting. This is a test seam, not a tuning
-// knob: the farm-level kernel identity suite uses it to run entire
-// scenarios under both schedulers and compare their metrics
-// byte-for-byte.
-func SetLegacyKernel(on bool) bool { return legacyKernel.Swap(on) }
-
 // NewEnv returns an environment with the clock at zero and no pending
-// events, using the calendar-queue scheduler (unless SetLegacyKernel
-// has switched the process to the legacy heap).
-func NewEnv() *Env {
-	if legacyKernel.Load() {
-		return NewLegacyHeapEnv()
-	}
-	return &Env{}
-}
-
-// NewLegacyHeapEnv returns an environment whose scheduler degenerates
-// to the plain global binary heap the kernel used before the calendar
-// queue. Event ordering is identical by construction; this exists so
-// property tests can prove that byte-for-byte (see the farm kernel
-// identity suite) rather than assume it.
-func NewLegacyHeapEnv() *Env {
-	env := &Env{}
-	env.q.bottomMax = math.Inf(1)
-	return env
-}
+// events.
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current simulated time.
 func (env *Env) Now() Time { return env.now }
@@ -143,10 +126,25 @@ func (env *Env) Now() Time { return env.now }
 // Pending returns the number of live (scheduled, not yet fired or
 // cancelled) events. Cancelled events are reclaimed eagerly and never
 // counted.
-func (env *Env) Pending() int { return env.q.size }
+func (env *Env) Pending() int { return len(env.heap) }
 
-// Steps returns the number of events fired so far.
+// Steps returns the number of simulated events so far: the events
+// fired plus the transitions entities applied themselves and reported
+// through Deferred. It reads the same whether an entity queues a
+// transition or defers it, once the entity has applied it.
 func (env *Env) Steps() uint64 { return env.stepCount }
+
+// Deferred counts one transition an entity carried out itself instead
+// of queueing it as an event, so Steps keeps counting it.
+func (env *Env) Deferred() { env.stepCount++ }
+
+// CurrentSeq tells which events at the current instant have fired:
+// those ranked below it have, those ranked above it have not. Inside a
+// callback it is the firing event's FIFO rank; after RunUntil it is
+// NoEvent, as RunUntil fires every event up to its deadline; after a
+// bare Step it is the rank of the event Step fired; before the first
+// Step it is 0, below every rank.
+func (env *Env) CurrentSeq() uint64 { return env.cur }
 
 // slabSize is the number of event records allocated per free-list
 // refill. One refill covers a disk group's worth of concurrent timers;
@@ -163,7 +161,6 @@ func (env *Env) alloc() *node {
 		n := &env.slab[0]
 		env.slab = env.slab[1:]
 		n.env = env
-		n.where = whereNone
 		return n
 	}
 	n := env.free[len(env.free)-1]
@@ -178,7 +175,6 @@ func (env *Env) recycle(n *node) {
 	n.gen++
 	n.fn = nil
 	n.arg = nil
-	n.where = whereNone
 	env.free = append(env.free, n)
 }
 
@@ -259,20 +255,24 @@ func (env *Env) AtArgSeq(t Time, fn func(any), arg any, seq uint64) Event {
 	n.seq = seq
 	n.fn = fn
 	n.arg = arg
-	env.q.push(n)
+	n.slot = int32(len(env.heap))
+	env.heap = append(env.heap, n)
+	env.siftUp(int(n.slot))
 	return Event{n: n, at: t, gen: n.gen}
 }
 
 // Step fires the next pending event, advancing the clock to its
 // timestamp. It returns false when no events remain.
 func (env *Env) Step() bool {
-	n := env.q.pop()
-	if n == nil {
+	if len(env.heap) == 0 {
 		return false
 	}
+	n := env.heap[0]
+	env.remove(0)
 	env.now = n.at
 	env.stepCount++
 	fn, arg := n.fn, n.arg
+	env.cur = n.seq
 	// Recycle before invoking: the callback may schedule (reusing this
 	// record immediately keeps the pool tight), and any Cancel it calls
 	// on a handle to *this* event sees a bumped generation and no-ops.
@@ -281,7 +281,10 @@ func (env *Env) Step() bool {
 	return true
 }
 
-// Run fires events until the queue is empty.
+// Run fires events until the queue is empty. An entity that defers its
+// transitions holds no event for them — an idle disk's timeout and
+// spin-down are not queued — so Run stops once the last queued event
+// has fired; drive a run through such transitions with RunUntil.
 func (env *Env) Run() {
 	for env.Step() {
 	}
@@ -294,14 +297,11 @@ func (env *Env) RunUntil(deadline Time) {
 	if deadline < env.now {
 		panic(fmt.Sprintf("sim: RunUntil(%v) is in the past (now=%v)", deadline, env.now))
 	}
-	for {
-		n := env.q.peek()
-		if n == nil || n.at > deadline {
-			break
-		}
+	for len(env.heap) > 0 && env.heap[0].at <= deadline {
 		env.Step()
 	}
 	env.now = deadline
+	env.cur = NoEvent
 }
 
 // RunWindows advances the simulation to horizon in epoch-length
@@ -330,5 +330,69 @@ func (env *Env) RunWindows(epoch, horizon Time, fn func(start, end Time, final b
 		if final {
 			return nil
 		}
+	}
+}
+
+// less orders the heap by (at, seq): time first, scheduling order
+// within a timestamp (the FIFO tie-break the determinism guarantee
+// depends on).
+func less(a, b *node) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// remove deletes heap slot i (the root for Step, any slot for Cancel),
+// restoring the heap property around the hole.
+func (env *Env) remove(i int) {
+	h := env.heap
+	last := len(h) - 1
+	if i != last {
+		h[i] = h[last]
+		h[i].slot = int32(i)
+	}
+	h[last] = nil
+	env.heap = h[:last]
+	if i < last && !env.siftDown(i) {
+		env.siftUp(i)
+	}
+}
+
+func (env *Env) siftUp(i int) {
+	h := env.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !less(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		h[i].slot = int32(i)
+		h[parent].slot = int32(parent)
+		i = parent
+	}
+}
+
+// siftDown reports whether the node at i moved.
+func (env *Env) siftDown(i int) bool {
+	h := env.heap
+	moved := false
+	for {
+		left := 2*i + 1
+		if left >= len(h) {
+			return moved
+		}
+		best := left
+		if right := left + 1; right < len(h) && less(h[right], h[left]) {
+			best = right
+		}
+		if !less(h[best], h[i]) {
+			return moved
+		}
+		h[i], h[best] = h[best], h[i]
+		h[i].slot = int32(i)
+		h[best].slot = int32(best)
+		i = best
+		moved = true
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"diskpack/internal/disk"
+	"diskpack/internal/obs"
 	"diskpack/internal/trace"
 )
 
@@ -283,13 +284,14 @@ func TestPeakQueueReported(t *testing.T) {
 }
 
 // A shard's disks live in one slab and share their drive model and
-// fixed threshold, so a farm's size costs no allocation per disk: what
-// a larger farm adds is the event kernel's 64-node slabs for the idle
-// timers every disk arms at once, and slice growth. Each disk still
-// reads its own configured drive model, at any shard count.
+// fixed threshold, and an idle disk's timeout and spin-down queue no
+// event, so a farm's size costs no allocation per disk: 16 times the
+// disks may add only a few objects, from slices sized by the farm.
+// Each disk still reads its own configured drive model, at any shard
+// count.
 func TestRunAllocatesNothingPerDisk(t *testing.T) {
 	const small, large = 1 << 12, 1 << 16
-	// Past every break-even time: the idle timers and spin-downs fire.
+	// Past every break-even time: every disk times out and spins down.
 	tr := &trace.Trace{Duration: 100}
 	models := []disk.Params{disk.DefaultParams(), disk.EcoParams()}
 	farm := func(n int, perDisk bool) Config {
@@ -325,7 +327,7 @@ func TestRunAllocatesNothingPerDisk(t *testing.T) {
 				})
 			}
 			a, b := allocs(small), allocs(large)
-			if extra, limit := b-a, float64(large-small)/32; extra > limit {
+			if extra, limit := b-a, 8.0; extra > limit {
 				t.Errorf("%s, PerDisk=%v: %v disks allocate %v objects, %v disks %v: %v more, want at most %v",
 					name, perDisk, small, a, large, b, extra, limit)
 			}
@@ -352,6 +354,31 @@ func TestRunAllocatesNothingPerDisk(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sim.events counts an idle disk's timeout and spin-down end whether
+// the kernel queues them or the disk applies them itself: a 2-disk,
+// 120 s farm at break-even counts 2 per disk with no requests, and 8
+// with one request arriving at 58 s, mid-spin-down — its arrival, the
+// spin-down end it waits on, the spin-up, the seek and the transfer
+// join the idle disk's 2 and the timeout that began the spin-down.
+func TestSimEventsCountDeferredTransitions(t *testing.T) {
+	events := func(reqs ...trace.Request) float64 {
+		tr := &trace.Trace{Duration: 120, Requests: reqs,
+			Files: []trace.FileInfo{{ID: 0, Size: 72 * disk.MB, Rate: 0.01}}}
+		rm := obs.NewRunMetrics(obs.NewRegistry(), RespBuckets())
+		cfg := Config{NumDisks: 2, IdleThreshold: BreakEven, Obs: &obs.RunObserver{Metrics: rm}}
+		if _, err := Run(tr, []int{0}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return rm.SimEvents.Value()
+	}
+	if got := events(); got != 4 {
+		t.Errorf("no requests: sim.events = %v, want 4", got)
+	}
+	if got := events(trace.Request{Time: 58, FileID: 0}); got != 8 {
+		t.Errorf("one request mid-spin-down: sim.events = %v, want 8", got)
 	}
 }
 

@@ -479,11 +479,10 @@ func (m *machine) scheduleFrom(idx int) {
 // nextArrivalCB dispatches the shard's pending trace request and
 // schedules the one after it. Arrivals are chained — exactly one
 // arrival event is pending per shard at any instant — so the event
-// queue holds only the simulation's working set (services, timers, one
-// arrival) instead of the whole trace horizon. That keeps the calendar
-// queue's epoch span near-term (idle timers stay rung-resident with
-// O(1) cancel) and the node pool proportional to concurrency, not
-// trace length. Validate() guarantees the request stream is
+// queue holds only the simulation's working set (services, spin-ups,
+// one arrival) instead of the whole trace horizon, which keeps the
+// event heap and its node pool proportional to concurrency, not trace
+// length. Validate() guarantees the request stream is
 // time-sorted, which is what makes the chain legal; the FIFO positions
 // reserved at construction (arrSeq) make it invisible — every arrival
 // keeps the tie-breaking rank it would have had scheduled upfront, so
