@@ -214,13 +214,55 @@ func (e *traceEncoder) event(ev *chromeEvent) error {
 }
 
 // segment encodes one disk-state span — the chromeEvent {name, "X",
-// diskPid, tid, ts, &dur} — straight from its values.
-func (e *traceEncoder) segment(name string, tid int, ts, dur float64) error {
-	b, err := appendHead(e.open(), name, "X", diskPid, tid, ts)
+// diskPid, tid, ts, &dur} — from its head, the event up to ts's value,
+// and its two floats.
+func (e *traceEncoder) segment(head []byte, ts, dur float64) error {
+	b, err := appendFloat(append(e.open(), head...), ts)
 	if err == nil {
 		b, err = appendFloat(append(b, `,"dur":`...), dur)
 	}
 	return e.close(append(b, '}'), err)
+}
+
+// segmentHeads holds a disk track's segment heads: each state's span
+// event up to its ts value, {"name":…,"ph":"X","pid":1,"tid":…,"ts":.
+// A track's named states are encoded once, into a buffer reused from
+// track to track.
+type segmentHeads struct {
+	r       *TraceRecorder
+	tid     int
+	buf     []byte
+	named   [][]byte // named[s] is state s's head, in buf
+	unnamed []byte
+}
+
+// newSegmentHeads sizes r's head buffers once: a head is its name and
+// under 64 bytes more unless json escapes the name.
+func newSegmentHeads(r *TraceRecorder) segmentHeads {
+	size := 0
+	for _, name := range r.stateNames {
+		size += len(name) + 64
+	}
+	return segmentHeads{r: r, buf: make([]byte, 0, size), named: make([][]byte, 0, len(r.stateNames))}
+}
+
+// encode encodes track tid's named heads.
+func (h *segmentHeads) encode(tid int) {
+	h.tid, h.buf, h.named = tid, h.buf[:0], h.named[:0]
+	for _, name := range h.r.stateNames {
+		start := len(h.buf)
+		h.buf = appendLabels(h.buf, name, "X", diskPid, tid)
+		h.named = append(h.named, h.buf[start:])
+	}
+}
+
+// of returns state s's head; a state without a name is encoded anew.
+func (h *segmentHeads) of(s uint8) []byte {
+	if int(s) < len(h.named) {
+		return h.named[s]
+	}
+	h.unnamed = appendLabels(h.unnamed[:0], h.r.stateName(s), "X", diskPid, h.tid)
+	return h.unnamed
 }
 
 // open returns the buffer with the next event's separator appended.
@@ -254,7 +296,7 @@ func (e *traceEncoder) flush() error {
 
 // appendEvent appends ev to b as encoding/json marshals it.
 func appendEvent(b []byte, ev *chromeEvent) ([]byte, error) {
-	b, err := appendHead(b, ev.Name, ev.Ph, ev.Pid, ev.Tid, ev.Ts)
+	b, err := appendFloat(appendLabels(b, ev.Name, ev.Ph, ev.Pid, ev.Tid), ev.Ts)
 	if err != nil {
 		return b, err
 	}
@@ -274,13 +316,13 @@ func appendEvent(b []byte, ev *chromeEvent) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendHead opens an event and appends its fields through ts.
-func appendHead(b []byte, name, ph string, pid, tid int, ts float64) ([]byte, error) {
+// appendLabels opens an event and appends its fields up to ts's value.
+func appendLabels(b []byte, name, ph string, pid, tid int) []byte {
 	b = appendString(append(b, `{"name":`...), name)
 	b = appendString(append(b, `,"ph":`...), ph)
 	b = strconv.AppendInt(append(b, `,"pid":`...), int64(pid), 10)
 	b = strconv.AppendInt(append(b, `,"tid":`...), int64(tid), 10)
-	return appendFloat(append(b, `,"ts":`...), ts)
+	return append(b, `,"ts":`...)
 }
 
 // appendArgs appends args as a JSON object with its keys sorted.
@@ -351,8 +393,13 @@ func appendString(b []byte, s string) []byte {
 // appendFloat appends f as encoding/json formats a float64: the
 // shortest decimal form, in exponent form below 1e-6 and from 1e21
 // with a leading zero dropped from a negative exponent (1e-07 becomes
-// 1e-7). NaN and ±Inf have no JSON form and are an error.
+// 1e-7). NaN and ±Inf have no JSON form and are an error. The plain
+// decimals between, nearly every value a trace holds, are written by
+// appendShortest.
 func appendFloat(b []byte, f float64) ([]byte, error) {
+	if abs := math.Abs(f); abs >= 1e-6 && abs < 1e21 {
+		return appendShortest(b, f), nil
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, fmt.Errorf("obs: trace value %s has no JSON form", strconv.FormatFloat(f, 'g', -1, 64))
 	}
@@ -408,6 +455,7 @@ func (r *TraceRecorder) render(e *traceEncoder) error {
 		}
 	}
 
+	heads := newSegmentHeads(r)
 	for tid, tl := range r.tracks {
 		if len(tl) == 0 {
 			continue
@@ -417,6 +465,7 @@ func (r *TraceRecorder) render(e *traceEncoder) error {
 		if err := meta(diskPid, tid, "thread_name", "disk "+strconv.Itoa(tid)); err != nil {
 			return err
 		}
+		heads.encode(tid)
 		// Each point's span ends where the next point begins; the last
 		// one ends at the horizon, or at its own start past it.
 		prev := tl[0][0]
@@ -425,7 +474,7 @@ func (r *TraceRecorder) render(e *traceEncoder) error {
 				chunk = chunk[1:]
 			}
 			for _, p := range chunk {
-				if err := e.segment(r.stateName(prev.state), tid, usec(prev.at), usec(p.at-prev.at)); err != nil {
+				if err := e.segment(heads.of(prev.state), usec(prev.at), usec(p.at-prev.at)); err != nil {
 					return err
 				}
 				prev = p
@@ -435,7 +484,7 @@ func (r *TraceRecorder) render(e *traceEncoder) error {
 		if end < prev.at {
 			end = prev.at
 		}
-		if err := e.segment(r.stateName(prev.state), tid, usec(prev.at), usec(end-prev.at)); err != nil {
+		if err := e.segment(heads.of(prev.state), usec(prev.at), usec(end-prev.at)); err != nil {
 			return err
 		}
 	}

@@ -3,10 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -86,6 +88,73 @@ func TestTraceRenderAllocsConstant(t *testing.T) {
 	small, large := render(diurnalShapedTrace(4, 1<<10)), render(diurnalShapedTrace(4, 1<<16))
 	if small != large {
 		t.Errorf("rendering 4×1k points allocates %v times, 4×64k points %v times; want equal", small, large)
+	}
+}
+
+// TestTraceSegmentHeads holds disk segments written from their
+// pre-encoded heads to encoding/json: two tracks in different states,
+// one state whose name json escapes, and a state value without a name,
+// which renders as state-N. Every event line must be json.Marshal of
+// the chromeEvent built from the same values.
+func TestTraceSegmentHeads(t *testing.T) {
+	names := []string{"idle", "spin<up>", "standby"}
+	const horizon = 5.0
+	tracks := [][]statePoint{
+		{{0, 0}, {1.5, 2}, {4.25, 0}},
+		nil,
+		{{0.5, 1}, {2, 7}, {3.1, 1}, {3.75, 7}},
+	}
+	rec := NewTraceRecorder()
+	rec.InitTracks(len(tracks), names)
+	for tid, pts := range tracks {
+		for _, p := range pts {
+			rec.StateChange(tid, p.at, int(p.state))
+		}
+	}
+	rec.SetHorizon(horizon)
+
+	want := []chromeEvent{{Name: "process_name", Ph: "M", Pid: diskPid, Args: map[string]any{"name": "disks"}}}
+	for tid, pts := range tracks {
+		if len(pts) == 0 {
+			continue
+		}
+		want = append(want, chromeEvent{Name: "thread_name", Ph: "M", Pid: diskPid, Tid: tid,
+			Args: map[string]any{"name": fmt.Sprintf("disk %d", tid)}})
+		for i, p := range pts {
+			end := horizon
+			if i+1 < len(pts) {
+				end = pts[i+1].at
+			}
+			name := fmt.Sprintf("state-%d", p.state)
+			if int(p.state) < len(names) {
+				name = names[p.state]
+			}
+			dur := usec(end - p.at)
+			want = append(want, chromeEvent{Name: name, Ph: "X", Pid: diskPid, Tid: tid, Ts: usec(p.at), Dur: &dur})
+		}
+	}
+
+	var out bytes.Buffer
+	if err := rec.WriteChromeTrace(&out); err != nil {
+		t.Fatal(err)
+	}
+	// One event per line, between the container's first and last line.
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	got := lines[1 : len(lines)-1]
+	if len(got) != len(want) {
+		t.Fatalf("rendered %d events, want %d:\n%s", len(got), len(want), out.String())
+	}
+	for i := range want {
+		line, err := json.Marshal(&want[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := strings.TrimSuffix(got[i], ","); g != string(line) {
+			t.Errorf("event %d:\n got %s\nwant %s", i, g, line)
+		}
+	}
+	if !strings.Contains(out.String(), `{"name":"state-7","ph":"X","pid":1,"tid":2,"ts":2000000,"dur":1100000}`) {
+		t.Errorf("no state-7 segment on track 2:\n%s", out.String())
 	}
 }
 

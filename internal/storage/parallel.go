@@ -692,6 +692,11 @@ func (r *runner) results(horizon float64) *Results {
 		res.RebuildBytes = r.rel.rebuildBytes
 	}
 	var standbyTime, afrSum float64
+	// Consecutive disks with one duty profile (in a large farm, most
+	// never serve a request) share its AFR, so it is recomputed only
+	// when the profile changes: the same inputs give the same bits.
+	var lastCycles, lastPowered, lastAFR float64
+	haveAFR := false
 	for i := 0; i < r.cfg.NumDisks; i++ {
 		s := 0
 		if r.shardOf != nil {
@@ -709,8 +714,13 @@ func (r *runner) results(horizon float64) *Results {
 			// under the wear model; the farm AFR folds the per-disk
 			// figures in global disk order (order-canonical, so the
 			// modeled AFR is identical at any shard count).
-			powered := horizon - b.Durations[disk.Standby]
-			afrSum += wear.AFR(float64(b.SpinUps)*86400/horizon, powered/horizon)
+			cycles := float64(b.SpinUps) * 86400 / horizon
+			powered := (horizon - b.Durations[disk.Standby]) / horizon
+			if !haveAFR || cycles != lastCycles || powered != lastPowered {
+				lastCycles, lastPowered, lastAFR = cycles, powered, wear.AFR(cycles, powered)
+				haveAFR = true
+			}
+			afrSum += lastAFR
 		}
 		if q := d.PeakQueueLen(); q > res.PeakQueue {
 			res.PeakQueue = q
