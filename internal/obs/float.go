@@ -62,13 +62,7 @@ func appendShortest(b []byte, f float64) []byte {
 		b = append(b, '-')
 	}
 	// f is normal: f = ±c·2^q with 2^52 ≤ c < 2^53.
-	c := u&(1<<52-1) | 1<<52
-	q := int(u>>52&0x7ff) - 1075
-	// An integer below 2^53 is its own shortest form.
-	if q <= 0 && bits.TrailingZeros64(c) >= -q {
-		return appendDecimal(b, c>>uint(-q), 0)
-	}
-	d, e := shortest(c, q)
+	d, e := shortest(u&(1<<52-1)|1<<52, int(u>>52&0x7ff)-1075)
 	return appendDecimal(b, d, e)
 }
 
@@ -150,10 +144,10 @@ func stripZeros(d uint64, e int) (uint64, int) {
 // 2^−20 up to 2^72: 22 integer digits, or "0.", 6 zeros and 17 digits.
 const maxPlainLen = 25
 
-// appendDecimal appends d·10^e, with d > 0 and no trailing zero in d
-// unless e is 0, in strconv's 'f' layout: the integer part padded with
-// zeros, then '.' and the fraction, or, below 1, "0.", the fraction's
-// leading zeros and d.
+// appendDecimal appends d·10^e, with d > 0 and no trailing zero in d,
+// in strconv's 'f' layout: the integer part padded with zeros, then
+// '.' and the fraction, or, below 1, "0.", the fraction's leading
+// zeros and d.
 func appendDecimal(b []byte, d uint64, e int) []byte {
 	n := decimalLen(d)
 	dp := n + e // digits before the point

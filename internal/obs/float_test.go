@@ -23,8 +23,8 @@ const (
 // where an exact algorithm is easiest to get wrong: both ends of every
 // binade (a power of two's interval is lopsided), seeded random
 // mantissas inside them, the neighbours of each power of ten (where the
-// digit count changes), and the integers around 2^53, where the integer
-// path ends.
+// digit count changes), and integers: those around 2^53, where the
+// floats' spacing grows from 1 to 2, and random ones below 2^62.
 func TestAppendFloatBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var got, want [32]byte

@@ -403,9 +403,9 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, fmt.Errorf("obs: trace value %s has no JSON form", strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	format := byte('e')
+	if f == 0 {
+		format = 'f'
 	}
 	b = strconv.AppendFloat(b, f, format, -1, 64)
 	if format == 'e' {

@@ -694,9 +694,9 @@ func (r *runner) results(horizon float64) *Results {
 	var standbyTime, afrSum float64
 	// Consecutive disks with one duty profile (in a large farm, most
 	// never serve a request) share its AFR, so it is recomputed only
-	// when the profile changes: the same inputs give the same bits.
-	var lastCycles, lastPowered, lastAFR float64
-	haveAFR := false
+	// when the profile changes: the same inputs give the same bits. A
+	// NaN never compares equal, so the first disk computes its own.
+	lastCycles, lastPowered, lastAFR := math.NaN(), 0.0, 0.0
 	for i := 0; i < r.cfg.NumDisks; i++ {
 		s := 0
 		if r.shardOf != nil {
@@ -716,9 +716,8 @@ func (r *runner) results(horizon float64) *Results {
 			// modeled AFR is identical at any shard count).
 			cycles := float64(b.SpinUps) * 86400 / horizon
 			powered := (horizon - b.Durations[disk.Standby]) / horizon
-			if !haveAFR || cycles != lastCycles || powered != lastPowered {
+			if cycles != lastCycles || powered != lastPowered {
 				lastCycles, lastPowered, lastAFR = cycles, powered, wear.AFR(cycles, powered)
-				haveAFR = true
 			}
 			afrSum += lastAFR
 		}
